@@ -124,10 +124,11 @@ impl Query {
 }
 
 /// Resolve the `device` field: a preset name, or an object with a
-/// `"preset"` base (default GTX 980) plus per-field overrides.
+/// `"preset"` base (default GTX 980) plus per-field overrides. The
+/// result must pass [`DeviceConfig::validate`].
 pub fn parse_device(v: &Value) -> Result<DeviceConfig, String> {
-    match v {
-        Value::Str(name) => preset(name),
+    let dev = match v {
+        Value::Str(name) => preset(name)?,
         Value::Map(entries) => {
             let mut dev = match get(entries, "preset") {
                 None => DeviceConfig::gtx980(),
@@ -138,13 +139,17 @@ pub fn parse_device(v: &Value) -> Result<DeviceConfig, String> {
                     apply_override(&mut dev, key, val)?;
                 }
             }
-            Ok(dev)
+            dev
         }
-        other => Err(format!(
-            "device must be a preset name or an object, got {}",
-            kind(other)
-        )),
-    }
+        other => {
+            return Err(format!(
+                "device must be a preset name or an object, got {}",
+                kind(other)
+            ))
+        }
+    };
+    dev.validate()?;
+    Ok(dev)
 }
 
 fn preset(name: &str) -> Result<DeviceConfig, String> {

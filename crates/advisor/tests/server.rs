@@ -103,8 +103,9 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
     obs::install(rec.clone());
     let server = start_server(Advisor::with_defaults(), ServerConfig::default());
     // An inline descriptor with the wrong coefficient count, then one
-    // with an unknown footprint, then a well-formed inline star —
-    // proving the connection survives descriptor validation failures.
+    // with an unknown footprint, then device overrides with zero SMs and
+    // a zero warp size, then a well-formed inline star — proving the
+    // connection survives descriptor and device validation failures.
     let bad_coeffs = "{\"id\": \"bc\", \"device\": \"GTX 980\", \"stencil\": \
          {\"name\": \"broken\", \"dim\": 2, \"coefficients\": [0.25, 0.25]}, \
          \"size\": [96, 96], \"time\": 8}";
@@ -112,6 +113,10 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
          {\"name\": \"hex\", \"dim\": 2, \"footprint\": \"hexagon\", \
           \"coefficients\": [0.2, 0.2, 0.2, 0.2, 0.2]}, \
          \"size\": [96, 96], \"time\": 8}";
+    let zero_sm = "{\"id\": \"zs\", \"device\": {\"preset\": \"gtx980\", \"n_sm\": 0}, \
+         \"stencil\": \"Heat2D\", \"size\": [96, 96], \"time\": 8}";
+    let zero_warp = "{\"id\": \"zw\", \"device\": {\"preset\": \"gtx980\", \"warp_size\": 0}, \
+         \"stencil\": \"Heat2D\", \"size\": [96, 96], \"time\": 8}";
     let good = "{\"id\": \"inl\", \"device\": \"GTX 980\", \"stencil\": \
          {\"name\": \"mean5\", \"dim\": 2, \
           \"coefficients\": [0.2, 0.2, 0.2, 0.2, 0.2]}, \
@@ -119,13 +124,15 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
     let lines = [
         bad_coeffs.to_string(),
         bad_footprint.to_string(),
+        zero_sm.to_string(),
+        zero_warp.to_string(),
         good.to_string(),
     ];
     let responses = roundtrip(&server, &lines);
     server.shutdown();
     obs::uninstall();
 
-    assert_eq!(responses.len(), 3, "one response per line");
+    assert_eq!(responses.len(), 5, "one response per line");
     assert!(responses[0].starts_with("{\"error\":"), "{}", responses[0]);
     assert!(
         responses[0].contains("invalid stencil descriptor"),
@@ -134,13 +141,17 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
     );
     assert!(responses[1].starts_with("{\"error\":"), "{}", responses[1]);
     assert!(responses[1].contains("'star' or 'box'"), "{}", responses[1]);
+    assert!(responses[2].starts_with("{\"error\":"), "{}", responses[2]);
+    assert!(responses[2].contains("n_sm"), "{}", responses[2]);
+    assert!(responses[3].starts_with("{\"error\":"), "{}", responses[3]);
+    assert!(responses[3].contains("warp_size"), "{}", responses[3]);
     assert!(
-        responses[2].contains("\"id\":\"inl\"") && responses[2].contains("\"candidates\":"),
+        responses[4].contains("\"id\":\"inl\"") && responses[4].contains("\"candidates\":"),
         "valid inline descriptor answered after the errors: {}",
-        responses[2]
+        responses[4]
     );
     let snap = rec.snapshot();
-    assert_eq!(snap.counter("advisor.query_errors"), 2);
+    assert_eq!(snap.counter("advisor.query_errors"), 4);
     assert_eq!(snap.counter("advisor.queries"), 1);
 }
 

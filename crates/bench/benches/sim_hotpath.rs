@@ -1,18 +1,14 @@
 //! Simulator hot-path benchmarks: the closed-form steady-state kernel
-//! scheduler vs the exact O(total-blocks) dealing loop, the pooled
-//! wavefront-parallel executor vs the sequential fast path, and a full
+//! scheduler vs the exact O(total-blocks) dealing loop, and a full
 //! `simulate` call over a real tiling plan. Companion to
-//! `experiments --bench-exec --parallel-exec`, which times the same
-//! paths on larger workloads and persists `BENCH_exec.json`.
+//! `experiments --bench-exec`, which times the same schedulers on larger
+//! workloads and persists `BENCH_exec.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{kernel_time, kernel_time_dealing, occupancy, simulate, DeviceConfig, SimWorkload};
-use hhc_tiling::{
-    run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig, ScratchPool,
-    TileSizes, TilingPlan,
-};
+use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
 use std::hint::black_box;
-use stencil_core::{init, ProblemSize, StencilKind};
+use stencil_core::{ProblemSize, StencilKind};
 
 fn jacobi2d_workload() -> (DeviceConfig, SimWorkload) {
     let device = DeviceConfig::gtx980();
@@ -54,31 +50,5 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_executor(c: &mut Criterion) {
-    let spec = StencilKind::Jacobi2D.spec();
-    let size = ProblemSize::new_2d(256, 256, 32);
-    let tiles = TileSizes::new_2d(8, 32, 128);
-    let grid = init::random(size.space_extents(), 0x42);
-
-    let mut g = c.benchmark_group("parallel_exec");
-    g.sample_size(10);
-    g.bench_function("jacobi2d_sequential_fast", |b| {
-        b.iter(|| {
-            let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).unwrap();
-            black_box(out.len())
-        })
-    });
-    // One pool for the whole measurement: after the first iteration every
-    // run is allocation-free.
-    let pool = ScratchPool::new();
-    g.bench_function("jacobi2d_parallel_pooled", |b| {
-        b.iter(|| {
-            let (out, _) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
-            black_box(out.len())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_kernel_scheduling, bench_parallel_executor);
+criterion_group!(benches, bench_kernel_scheduling);
 criterion_main!(benches);

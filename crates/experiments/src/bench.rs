@@ -11,8 +11,7 @@ use crate::context::{ExperimentScale, Lab};
 use gpu_sim::{kernel_time, kernel_time_dealing, occupancy, DeviceConfig, SimWorkload};
 use hhc_tiling::plan::{BlockClass, WavefrontPlan};
 use hhc_tiling::{
-    rolling_window_depth, run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig,
-    ScratchPool, TileSizes, TilingPlan,
+    rolling_window_depth, run_tiled_with, ExecOptions, LaunchConfig, TileSizes, TilingPlan,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -63,42 +62,6 @@ pub struct ExecBenchRow {
     pub roofline_bound: String,
 }
 
-/// One multi-core comparison row: sequential fast path vs the pooled
-/// wavefront-parallel executor (`--parallel-exec`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ParallelBenchRow {
-    pub benchmark: String,
-    pub size: String,
-    pub tiles: TileSizes,
-    /// Rayon worker threads used for the parallel runs.
-    pub threads: usize,
-    /// Seconds, best of `reps`, sequential [`ExecOptions::FAST`] path.
-    pub seq_fast_s: f64,
-    /// Seconds, best of `reps`, pooled parallel executor (warm pool
-    /// after the first rep).
-    pub parallel_s: f64,
-    /// `seq_fast_s / parallel_s`.
-    pub speedup: f64,
-    /// Parallel result equals the sequential fast path bit for bit
-    /// (always asserted).
-    pub bit_identical: bool,
-    /// The executor's dispatch policy fell back to the sequential fast
-    /// path (single-thread pool, or batching could not pay) — when true,
-    /// `speedup` measures pooled-sequential overhead, not parallelism.
-    pub fallback: bool,
-    /// Work batches handed to the thread pool during the best-timed run.
-    pub batch_dispatches: u64,
-    /// Pool checkouts during the best-timed run (warm pool).
-    pub scratch_acquires: u64,
-    /// Checkouts served from the pool without allocating.
-    pub scratch_reuses: u64,
-    /// Pool checkouts during the first (cold-pool) run.
-    pub cold_acquires: u64,
-    /// Cold-run checkouts served from the pool — buffers recycled within
-    /// one run, since nothing was pooled beforehand.
-    pub cold_reuses: u64,
-}
-
 /// Steady-state vs dealing-loop kernel scheduling in the simulator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimBenchRow {
@@ -147,15 +110,11 @@ pub struct RooflineSummary {
 pub struct ExecBenchReport {
     pub scale: String,
     pub threads: usize,
-    /// Hardware threads the OS exposes. When this is 1, the parallel
-    /// rows fall back to the sequential fast path (`fallback: true`)
-    /// unless the pool was forced wider with `--threads`.
+    /// Hardware threads the OS exposes.
     pub hardware_threads: usize,
     /// Detected SIMD capability the row kernels dispatch to.
     pub simd: String,
     pub exec: Vec<ExecBenchRow>,
-    /// Parallel-executor rows; empty unless `--parallel-exec` was given.
-    pub parallel: Vec<ParallelBenchRow>,
     /// Simulator scheduling rows (always produced).
     pub sim: Vec<SimBenchRow>,
     pub memo: MemoBenchRow,
@@ -231,50 +190,6 @@ fn bench_one(
         measured_pps,
         roofline_ratio: measured_pps / pred.pps,
         roofline_bound: pred.bound.to_string(),
-    }
-}
-
-fn bench_parallel_one(
-    kind: StencilKind,
-    size: ProblemSize,
-    tiles: TileSizes,
-    reps: usize,
-) -> ParallelBenchRow {
-    let spec = kind.spec();
-    let grid = init::random(size.space_extents(), 0x42);
-    let (seq_fast_s, (fast_grid, _)) = time_best_of(reps, || {
-        run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).expect("fast run")
-    });
-    // One pool shared across reps: an untimed first run warms it (and is
-    // the source of the cold-pool stats), then every timed rep runs
-    // allocation-free — the steady state `run_candidates` sees. A warm
-    // rep's acquires == reuses is expected, not a bug.
-    let pool = ScratchPool::new();
-    let (_, cold) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
-    let (parallel_s, (par_grid, par_stats)) = time_best_of(reps, || {
-        run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool)
-    });
-    let identical = fast_grid.max_abs_diff(&par_grid) == 0.0;
-    assert!(
-        identical,
-        "{}: parallel executor diverged from sequential fast path",
-        kind.name()
-    );
-    ParallelBenchRow {
-        benchmark: kind.name().to_string(),
-        size: size.label(),
-        tiles,
-        threads: rayon::current_num_threads(),
-        seq_fast_s,
-        parallel_s,
-        speedup: seq_fast_s / parallel_s,
-        bit_identical: identical,
-        fallback: par_stats.seq_fallback,
-        batch_dispatches: par_stats.batch_dispatches,
-        scratch_acquires: par_stats.scratch_acquires,
-        scratch_reuses: par_stats.scratch_reuses,
-        cold_acquires: cold.scratch_acquires,
-        cold_reuses: cold.scratch_reuses,
     }
 }
 
@@ -459,10 +374,7 @@ fn bench_memo(lab: &Lab) -> MemoBenchRow {
 }
 
 /// Run the full executor benchmark and return the report.
-///
-/// `parallel_exec` additionally times the pooled wavefront-parallel
-/// executor against the sequential fast path (`--parallel-exec`).
-pub fn bench_exec(lab: &Lab, parallel_exec: bool) -> ExecBenchReport {
+pub fn bench_exec(lab: &Lab) -> ExecBenchReport {
     let cal = roofline::measure_stream_bandwidth();
     println!(
         "  roofline: stream bandwidth {:.1} GB/s, {} bytes/point charged",
@@ -487,28 +399,6 @@ pub fn bench_exec(lab: &Lab, parallel_exec: bool) -> ExecBenchReport {
         );
         exec.push(row);
     }
-    let mut parallel = Vec::new();
-    if parallel_exec {
-        for (kind, size, tiles, reps) in workloads(lab.scale) {
-            let row = bench_parallel_one(kind, size, tiles, reps);
-            println!(
-                "  {:10} {:16} seq-fast {:8.3}s  parallel {:8.3}s ({} threads{})  speedup {:5.2}x  batches {}  pool {}/{} warm, {}/{} cold",
-                row.benchmark,
-                row.size,
-                row.seq_fast_s,
-                row.parallel_s,
-                row.threads,
-                if row.fallback { ", fallback" } else { "" },
-                row.speedup,
-                row.batch_dispatches,
-                row.scratch_reuses,
-                row.scratch_acquires,
-                row.cold_reuses,
-                row.cold_acquires
-            );
-            parallel.push(row);
-        }
-    }
     let sim = bench_sim(lab);
     for row in &sim {
         println!(
@@ -528,7 +418,6 @@ pub fn bench_exec(lab: &Lab, parallel_exec: bool) -> ExecBenchReport {
         hardware_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         simd: stencil_core::simd::caps().describe(),
         exec,
-        parallel,
         sim,
         memo,
         roofline: RooflineSummary {
@@ -547,7 +436,7 @@ mod tests {
     #[test]
     fn smoke_bench_rows_are_consistent() {
         let lab = Lab::new(ExperimentScale::Smoke);
-        let report = bench_exec(&lab, true);
+        let report = bench_exec(&lab);
         assert_eq!(report.scale, "smoke");
         assert!(report.simd.contains(" x"), "{}", report.simd);
         assert!(report.roofline.stream_bw_gbs > 0.0);
@@ -564,21 +453,6 @@ mod tests {
                 "{row:?}"
             );
             assert!(row.roofline_pps_pred > 0.0 && row.measured_pps > 0.0);
-        }
-        assert!(!report.parallel.is_empty());
-        for row in &report.parallel {
-            assert!(row.bit_identical);
-            // The best-timed rep runs against the warm pool.
-            assert!(row.scratch_reuses > 0, "{row:?}");
-            assert!(row.scratch_acquires >= row.scratch_reuses);
-            // The cold rep cannot have reused every checkout: the ring
-            // planes' first `depth` checkouts find an empty pool.
-            assert!(row.cold_acquires > row.cold_reuses, "{row:?}");
-            if row.fallback {
-                assert_eq!(row.batch_dispatches, 0, "{row:?}");
-            } else {
-                assert!(row.batch_dispatches > 0, "{row:?}");
-            }
         }
         assert!(!report.sim.is_empty());
         for row in &report.sim {

@@ -54,7 +54,6 @@ struct Args {
     solver: bool,
     wavefront: bool,
     bench_exec: bool,
-    parallel_exec: bool,
     check_roofline: bool,
     threads: Option<usize>,
     table2: bool,
@@ -82,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
         solver: false,
         wavefront: false,
         bench_exec: false,
-        parallel_exec: false,
         check_roofline: false,
         threads: None,
         table2: false,
@@ -166,7 +164,6 @@ fn parse_args() -> Result<Args, String> {
                 args.bench_exec = true;
                 any = true;
             }
-            "--parallel-exec" => args.parallel_exec = true,
             "--check-roofline" => {
                 args.bench_exec = true;
                 args.check_roofline = true;
@@ -252,8 +249,6 @@ fn print_help() {
            --solver              heuristic solvers vs exhaustive sweep (Section 6.1)\n\
            --compare-wavefront   time tiling vs classic wavefront-parallel schedule\n\
            --bench-exec          executor fast-path + memoization benchmark (writes BENCH_exec.json)\n\
-           --parallel-exec       with --bench-exec: also time the pooled wavefront-parallel\n\
-                                 executor against the sequential fast path (threads >= 2)\n\
            --check-roofline      implies --bench-exec; exit nonzero unless every exec row's\n\
                                  measured/predicted throughput ratio sits in the tolerance\n\
                                  band (the roofline self-model CI gate)\n\
@@ -1212,7 +1207,7 @@ fn main() {
             "\n=== Executor benchmark: rolling window + row kernels vs seed baseline (scale: {scale}, {} threads) ===",
             rayon::current_num_threads()
         );
-        let report = experiments::bench::bench_exec(&lab, args.parallel_exec);
+        let report = experiments::bench::bench_exec(&lab);
         let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
         std::fs::write("BENCH_exec.json", json).expect("write BENCH_exec.json");
         println!("  report written to BENCH_exec.json");

@@ -161,6 +161,64 @@ impl DeviceConfig {
             .find(|d| canon(&d.name) == wanted)
     }
 
+    /// Check that the configuration describes a device the simulator and
+    /// the model can run on: every count is non-zero, no per-block limit
+    /// exceeds its per-SM limit, every time is finite and positive, and
+    /// the spill coefficient is finite and non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("n_sm", self.n_sm as u64),
+            ("n_v", self.n_v as u64),
+            ("warp_size", self.warp_size as u64),
+            ("shared_banks", self.shared_banks as u64),
+            ("shared_mem_words", self.shared_mem_words),
+            ("shared_per_block_words", self.shared_per_block_words),
+            ("regs_per_sm", self.regs_per_sm),
+            ("max_regs_per_thread", u64::from(self.max_regs_per_thread)),
+            ("reg_alloc_target", u64::from(self.reg_alloc_target)),
+            ("max_blocks_per_sm", self.max_blocks_per_sm as u64),
+            ("max_threads_per_sm", self.max_threads_per_sm as u64),
+            ("max_threads_per_block", self.max_threads_per_block as u64),
+        ];
+        for (name, v) in counts {
+            if v == 0 {
+                return Err(format!("device {name} must be >= 1"));
+            }
+        }
+        if self.shared_per_block_words > self.shared_mem_words {
+            return Err(format!(
+                "device shared_per_block_words ({}) exceeds shared_mem_words ({})",
+                self.shared_per_block_words, self.shared_mem_words
+            ));
+        }
+        if self.max_threads_per_block > self.max_threads_per_sm {
+            return Err(format!(
+                "device max_threads_per_block ({}) exceeds max_threads_per_sm ({})",
+                self.max_threads_per_block, self.max_threads_per_sm
+            ));
+        }
+        let times = [
+            ("word_time", self.word_time),
+            ("mem_latency", self.mem_latency),
+            ("tau_sync", self.tau_sync),
+            ("t_launch", self.t_launch),
+            ("op_time", self.op_time),
+            ("shared_access_time", self.shared_access_time),
+        ];
+        for (name, v) in times {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("device {name} must be finite and > 0, got {v}"));
+            }
+        }
+        if !(self.spill_coeff.is_finite() && self.spill_coeff >= 0.0) {
+            return Err(format!(
+                "device spill_coeff must be finite and >= 0, got {}",
+                self.spill_coeff
+            ));
+        }
+        Ok(())
+    }
+
     /// Index-addressing overhead (in arithmetic ops per iteration) of the
     /// generated tile body, by stencil rank. Higher-rank tiles traverse
     /// skewed multi-dimensional shared-memory buffers, which is the main
@@ -200,6 +258,8 @@ mod tests {
         assert_eq!(g.regs_per_sm, 65536);
         assert_eq!(g.shared_banks, 32);
         assert_eq!(g.max_blocks_per_sm, 32);
+        assert_eq!(g.validate(), Ok(()));
+        assert_eq!(t.validate(), Ok(()));
     }
 
     #[test]

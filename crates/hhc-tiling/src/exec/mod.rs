@@ -19,15 +19,6 @@ use crate::hex::{HexTiling, TileId};
 use crate::inner::SkewedAxis;
 use stencil_core::{Grid, ProblemSize, RowKernel, StencilSpec};
 
-mod parallel;
-pub mod scratch;
-
-pub use parallel::{
-    run_tiled_parallel, run_tiled_parallel_into, run_tiled_parallel_into_with,
-    run_tiled_parallel_with_stats, run_tiled_wavefront_parallel, DispatchPolicy, MIN_BATCH_POINTS,
-};
-pub use scratch::ScratchPool;
-
 /// Knobs for [`run_tiled_with`]: dependence checking, rolling-window
 /// storage, and specialized row kernels.
 ///
@@ -105,20 +96,9 @@ pub struct ExecStats {
     /// Bytes moved by whole-plane copies (initial-plane load plus the
     /// final-result extraction).
     pub plane_copy_bytes: u64,
-    /// Pool buffer checkouts during this run (parallel executor only;
-    /// zero on the sequential paths).
-    pub scratch_acquires: u64,
-    /// Checkouts served from the pool without allocating.
-    pub scratch_reuses: u64,
     /// Kernel rows whose interior span was long enough to engage the
     /// blocked SIMD sweep (≥ `stencil_core::simd::BLOCK_WIDTH` points).
     pub simd_rows: u64,
-    /// Work batches handed to the thread pool by the parallel executor
-    /// (zero on sequential paths and on sequential fallback).
-    pub batch_dispatches: u64,
-    /// Whether a parallel-executor call decided parallelism could not pay
-    /// and ran the sequential fast path instead.
-    pub seq_fallback: bool,
 }
 
 /// The plane-ring depth an unchecked rolling-window execution allocates:
@@ -972,9 +952,9 @@ mod higher_order_tests {
         let expect = reference::run(&spec, &size, &grid);
         let got = run_tiled_checked(&spec, &size, tiles, &grid);
         assert_eq!(expect.max_abs_diff(&got), 0.0);
-        // Parallel wavefront execution also holds at order 2.
-        let par = run_tiled_wavefront_parallel(&spec, &size, tiles, &grid);
-        assert_eq!(expect.max_abs_diff(&par), 0.0);
+        // The rolling-window fast path also holds at order 2.
+        let fast = run_tiled_unchecked(&spec, &size, tiles, &grid);
+        assert_eq!(expect.max_abs_diff(&fast), 0.0);
     }
 
     #[test]
@@ -992,57 +972,5 @@ mod higher_order_tests {
         .unwrap();
         assert_eq!(plan.hex.slope, 2);
         assert_eq!(plan.total_iterations(), size.iter_points());
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use stencil_core::{init, reference, StencilKind};
-
-    #[test]
-    fn parallel_equals_sequential_tiled_and_reference() {
-        for (kind, size, tiles) in [
-            (
-                StencilKind::Jacobi2D,
-                ProblemSize::new_2d(29, 23, 9),
-                TileSizes::new_2d(4, 5, 6),
-            ),
-            (
-                StencilKind::Gradient2D,
-                ProblemSize::new_2d(17, 19, 7),
-                TileSizes::new_2d(6, 3, 4),
-            ),
-            (
-                StencilKind::Heat3D,
-                ProblemSize::new_3d(9, 8, 7, 6),
-                TileSizes::new_3d(4, 3, 4, 3),
-            ),
-        ] {
-            let spec = kind.spec();
-            let grid = init::random(size.space_extents(), 11);
-            let expect = reference::run(&spec, &size, &grid);
-            let seq = run_tiled_checked(&spec, &size, tiles, &grid);
-            let par = run_tiled_wavefront_parallel(&spec, &size, tiles, &grid);
-            assert_eq!(
-                expect.max_abs_diff(&par),
-                0.0,
-                "{} vs reference",
-                kind.name()
-            );
-            assert_eq!(seq.max_abs_diff(&par), 0.0, "{} vs sequential", kind.name());
-        }
-    }
-
-    #[test]
-    fn parallel_handles_nonzero_boundary() {
-        let spec = StencilKind::Jacobi1D.spec();
-        let size = ProblemSize::new_1d(41, 13);
-        let tiles = TileSizes::new_1d(6, 5);
-        let mut grid = init::gaussian_bump(size.space_extents(), 6.0);
-        grid.set_boundary(0.25);
-        let expect = reference::run(&spec, &size, &grid);
-        let par = run_tiled_wavefront_parallel(&spec, &size, tiles, &grid);
-        assert_eq!(expect.max_abs_diff(&par), 0.0);
     }
 }

@@ -5,12 +5,11 @@
 //! must hold only `min(t_t + 1, T + 1)` planes resident.
 
 use hhc_tiling::{
-    rolling_window_depth, run_tiled_checked, run_tiled_parallel_into_with,
-    run_tiled_parallel_with_stats, run_tiled_unchecked_with_stats, run_tiled_with, DispatchPolicy,
-    ExecOptions, HexTiling, ScratchPool, TileSizes,
+    rolling_window_depth, run_tiled_checked, run_tiled_unchecked_with_stats, run_tiled_with,
+    ExecOptions, TileSizes,
 };
 use proptest::prelude::*;
-use stencil_core::{init, reference, Grid, ProblemSize, StencilKind};
+use stencil_core::{init, reference, ProblemSize, StencilKind};
 
 /// A random (stencil, problem, tiles) case. Extents start at 1 (1-cell
 /// domains) and tile extents range well past the domain sizes, so
@@ -49,15 +48,17 @@ fn case() -> impl Strategy<Value = (StencilKind, ProblemSize, TileSizes)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fast path == checked path == reference, exactly, plus the O(window)
-    /// storage bound.
+    /// Fast path == checked path == reference, exactly — including
+    /// nonzero boundary values — plus the O(window) storage bound.
     #[test]
     fn rolling_window_equals_checked_and_reference(
         (kind, size, tiles) in case(),
         seed in 0u64..1024,
+        boundary in 0u32..4,
     ) {
         let spec = kind.spec();
-        let grid = init::random(size.space_extents(), seed);
+        let mut grid = init::random(size.space_extents(), seed);
+        grid.set_boundary(boundary as f32 * 0.75);
         let expect = reference::run(&spec, &size, &grid);
         let checked = run_tiled_checked(&spec, &size, tiles, &grid);
         let (fast, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
@@ -113,41 +114,6 @@ proptest! {
         prop_assert_eq!(stats.generic_points, t as u64);
     }
 
-    /// Pooled parallel executor == sequential fast path, bit for bit —
-    /// including nonzero boundary values and `t_t > T` — with matching
-    /// point/row classification and a warm pool reusing its buffers when
-    /// the same case runs twice.
-    #[test]
-    fn parallel_pooled_equals_sequential_fast(
-        (kind, size, tiles) in case(),
-        seed in 0u64..1024,
-        boundary in 0u32..4,
-    ) {
-        let spec = kind.spec();
-        let mut grid = init::random(size.space_extents(), seed);
-        grid.set_boundary(boundary as f32 * 0.75);
-        let (fast, fstats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
-        let pool = ScratchPool::new();
-        let (par, pstats) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
-        prop_assert_eq!(
-            fast.max_abs_diff(&par), 0.0,
-            "parallel vs fast: {} {} {:?}", kind.name(), size.label(), tiles
-        );
-        for (a, b) in fast.as_slice().iter().zip(par.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        prop_assert_eq!(pstats.kernel_points, fstats.kernel_points);
-        prop_assert_eq!(pstats.generic_points, fstats.generic_points);
-        prop_assert_eq!(pstats.kernel_rows, fstats.kernel_rows);
-        prop_assert_eq!(pstats.generic_rows, fstats.generic_rows);
-        prop_assert_eq!(pstats.resident_planes, rolling_window_depth(tiles, &size));
-        // A second run against the warm pool allocates (almost) nothing.
-        let (par2, pstats2) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
-        prop_assert_eq!(par.max_abs_diff(&par2), 0.0);
-        prop_assert!(pstats2.scratch_reuses >= pstats.scratch_reuses);
-        prop_assert!(pstats2.scratch_reuses > 0);
-    }
-
     /// SIMD row kernels == scalar row kernels, bit for bit, on random
     /// cases — odd extents, boundary-heavy tiles, `t_t > T` truncation
     /// all arise from `case()`'s ranges.
@@ -172,43 +138,6 @@ proptest! {
         }
     }
 
-    /// `ForceParallel` (the batched path, even on a 1-thread pool) ==
-    /// `ForceSequential` (the pooled fallback) == the sequential fast
-    /// path, bit for bit.
-    #[test]
-    fn dispatch_policies_agree_bitwise(
-        (kind, size, tiles) in case(),
-        seed in 0u64..1024,
-    ) {
-        let spec = kind.spec();
-        let grid = init::random(size.space_extents(), seed);
-        let (fast, _) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
-        let pool = ScratchPool::new();
-        let mut forced = Grid::zeros(size.space_extents());
-        let fstats = run_tiled_parallel_into_with(
-            &spec, &size, tiles, &grid, &pool, &mut forced, DispatchPolicy::ForceParallel,
-        );
-        prop_assert!(!fstats.seq_fallback);
-        prop_assert!(fstats.batch_dispatches > 0);
-        let mut seq = Grid::zeros(size.space_extents());
-        let sstats = run_tiled_parallel_into_with(
-            &spec, &size, tiles, &grid, &pool, &mut seq, DispatchPolicy::ForceSequential,
-        );
-        prop_assert!(sstats.seq_fallback);
-        prop_assert_eq!(sstats.batch_dispatches, 0);
-        for (a, b) in fast.as_slice().iter().zip(forced.as_slice()) {
-            prop_assert_eq!(
-                a.to_bits(), b.to_bits(),
-                "forced-parallel vs fast: {} {} {:?}", kind.name(), size.label(), tiles
-            );
-        }
-        for (a, b) in fast.as_slice().iter().zip(seq.as_slice()) {
-            prop_assert_eq!(
-                a.to_bits(), b.to_bits(),
-                "fallback vs fast: {} {} {:?}", kind.name(), size.label(), tiles
-            );
-        }
-    }
 }
 
 /// Every SIMD lane-width remainder (`interior len % 8` ∈ 0..8) on the
@@ -262,80 +191,4 @@ fn simd_matches_scalar_for_all_lane_remainders() {
             assert!(sstats.simd_rows > 0, "{} rem {r}: {sstats:?}", kind.name());
         }
     }
-}
-
-/// Exact pool-counter pin for a known schedule, under both dispatch
-/// policies. The workload is small enough that the cost floor makes
-/// every wavefront a single batch (`nb = 1`), so the counter arithmetic
-/// is deterministic on any pool size:
-///
-/// * `ForceParallel`, cold pool: `depth` ring-plane checkouts (all
-///   misses) plus one scratch + one write log per active wavefront; from
-///   the second active wavefront on, both are recycled within the run.
-/// * `ForceSequential` (the fallback): ring planes only — no write logs,
-///   no per-batch scratch.
-/// * Warm pool, second run: every checkout is a reuse.
-#[test]
-fn scratch_counters_pin_exact_values_for_known_schedule() {
-    let kind = StencilKind::Jacobi2D;
-    let spec = kind.spec();
-    let size = ProblemSize::new_2d(24, 8, 6);
-    let tiles = TileSizes::new_2d(4, 4, 8);
-    let grid = init::random(size.space_extents(), 7);
-    let depth = rolling_window_depth(tiles, &size) as u64;
-    let hex = HexTiling::with_slope(tiles.t_s[0], tiles.t_t, spec.order().max(1) as usize);
-    let active = (0..hex.wavefront_count(size.time))
-        .filter(|&w| hex.wavefront_tiles(w, size.space[0], size.time).count() > 0)
-        .count() as u64;
-    assert!(active >= 2, "schedule too small to pin reuse arithmetic");
-
-    let pool = ScratchPool::new();
-    let mut out = Grid::zeros(size.space_extents());
-    let cold = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool,
-        &mut out,
-        DispatchPolicy::ForceParallel,
-    );
-    assert_eq!(cold.batch_dispatches, active, "one batch per wavefront");
-    assert_eq!(cold.scratch_acquires, depth + 2 * active);
-    assert_eq!(cold.scratch_reuses, 2 * (active - 1));
-    let warm = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool,
-        &mut out,
-        DispatchPolicy::ForceParallel,
-    );
-    assert_eq!(warm.scratch_acquires, depth + 2 * active);
-    assert_eq!(warm.scratch_reuses, warm.scratch_acquires);
-
-    let pool2 = ScratchPool::new();
-    let fb = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool2,
-        &mut out,
-        DispatchPolicy::ForceSequential,
-    );
-    assert_eq!(fb.scratch_acquires, depth);
-    assert_eq!(fb.scratch_reuses, 0);
-    let fb2 = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool2,
-        &mut out,
-        DispatchPolicy::ForceSequential,
-    );
-    assert_eq!(fb2.scratch_acquires, depth);
-    assert_eq!(fb2.scratch_reuses, depth);
 }

@@ -1,14 +1,14 @@
-//! Execute a candidate set on the parallel tiled executor.
+//! Execute a candidate set on the tiled executor.
 //!
 //! The paper's selection pipeline (Section 6.1) keeps every feasible
 //! point within 10 % of the predicted `T_alg` minimum and *runs* that
 //! set to pick the final tile sizes. This module is the running half:
 //! [`run_candidates`] executes each candidate with
-//! [`hhc_tiling::run_tiled_parallel_into`], sharing one [`ScratchPool`]
-//! and one output grid across the whole set, so a sweep of dozens of
-//! candidates costs one warm-up's worth of allocations.
+//! [`hhc_tiling::run_tiled_unchecked_with_stats`], one at a time, so no
+//! candidate's wall time is measured while another competes for the
+//! cores.
 
-use hhc_tiling::{run_tiled_parallel_into, ExecStats, ScratchPool, TileSizes};
+use hhc_tiling::{run_tiled_unchecked_with_stats, ExecStats, TileSizes};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use stencil_core::{Grid, ProblemSize, StencilSpec};
@@ -20,7 +20,7 @@ pub struct CandidateRun {
     pub tiles: TileSizes,
     /// Wall-clock execution time (s).
     pub wall_s: f64,
-    /// The execution's stats (pool reuse, kernel coverage, ring depth).
+    /// The execution's stats (kernel coverage, ring depth).
     pub stats: ExecStats,
 }
 
@@ -68,16 +68,13 @@ pub struct CandidateReport {
     /// of infeasible tile sizes or a deadline cut no longer vanishes
     /// silently from the report.
     pub skipped: Vec<SkippedCandidate>,
-    /// Pool checkouts across the whole set.
-    pub scratch_acquires: u64,
-    /// Checkouts served without allocating.
-    pub scratch_reuses: u64,
 }
 
-/// Execute every valid candidate on the parallel executor and time it.
+/// Execute every valid candidate on the sequential fast path and time it.
 ///
-/// All candidates share one pool and one output grid; the winner is the
-/// first candidate achieving the minimal wall time, so the report is
+/// Candidates run one at a time, so each `wall_s` is measured without
+/// another candidate competing for the cores. The winner is the first
+/// candidate achieving the minimal wall time, so the report is
 /// deterministic for a fixed machine load. Infeasible candidates are
 /// recorded in [`CandidateReport::skipped`] (and counted on the
 /// `opt.candidates_skipped` counter), never silently dropped.
@@ -104,8 +101,6 @@ pub fn run_candidates_until(
     deadline: Option<Instant>,
 ) -> CandidateReport {
     let _span = obs::span("opt.run_candidates", "optimizer");
-    let pool = ScratchPool::new();
-    let mut out = Grid::zeros(size.space_extents());
     let mut runs = Vec::with_capacity(candidates.len());
     let mut skipped = Vec::new();
     for (index, &tiles) in candidates.iter().enumerate() {
@@ -126,7 +121,7 @@ pub fn run_candidates_until(
             continue;
         }
         let start = Instant::now();
-        let stats = run_tiled_parallel_into(spec, size, tiles, init, &pool, &mut out);
+        let (_, stats) = run_tiled_unchecked_with_stats(spec, size, tiles, init);
         let wall_s = start.elapsed().as_secs_f64();
         runs.push(CandidateRun {
             tiles,
@@ -148,8 +143,6 @@ pub fn run_candidates_until(
         runs,
         best,
         skipped,
-        scratch_acquires: pool.acquires(),
-        scratch_reuses: pool.reuses(),
     }
 }
 
@@ -159,7 +152,7 @@ mod tests {
     use stencil_core::{init, reference, StencilKind};
 
     #[test]
-    fn candidate_sweep_reuses_pool_and_picks_a_winner() {
+    fn candidate_sweep_is_exact_and_picks_a_winner() {
         let spec = StencilKind::Jacobi2D.spec();
         let size = ProblemSize::new_2d(33, 29, 8);
         let grid = init::random(size.space_extents(), 3);
@@ -178,13 +171,12 @@ mod tests {
             .map(|r| r.wall_s)
             .fold(f64::MAX, f64::min);
         assert!(report.runs[best].wall_s <= min);
-        // Later candidates run on recycled buffers.
-        assert!(report.scratch_reuses > 0, "{report:?}");
-        assert!(report.scratch_acquires > report.scratch_reuses);
-        // And each run's result is still the exact stencil answer.
+        // Every candidate's result is the exact stencil answer.
         let expect = reference::run(&spec, &size, &grid);
-        let again = hhc_tiling::run_tiled_parallel(&spec, &size, candidates[0], &grid);
-        assert_eq!(expect.max_abs_diff(&again), 0.0);
+        for run in &report.runs {
+            let got = hhc_tiling::run_tiled_unchecked(&spec, &size, run.tiles, &grid);
+            assert_eq!(expect.max_abs_diff(&got), 0.0, "{:?}", run.tiles);
+        }
     }
 
     #[test]

@@ -111,15 +111,18 @@ pub fn measure_compute_ceiling(spec: &StencilSpec) -> f64 {
     let src: Vec<f32> = (0..cells).map(|i| (i % 97) as f32 * 0.01).collect();
     let mut dst = vec![0.0f32; cells];
     // Sweep one interior row span per repetition; spans sit away from
-    // the buffer ends so every tap stays in range.
-    let margin = kernel
-        .off_min()
-        .iter()
-        .chain(kernel.off_max().iter())
-        .map(|o| o.unsigned_abs() as usize)
-        .max()
-        .unwrap_or(0)
-        .max(sizes[1] * sizes[2] + sizes[2] + 1);
+    // the buffer ends by the kernel's flat reach (Σ|off|·stride), so
+    // every tap stays in range.
+    let strides = [sizes[1] * sizes[2], sizes[2], 1];
+    let reach: usize = (0..3)
+        .map(|d| {
+            let off = kernel.off_min()[d]
+                .unsigned_abs()
+                .max(kernel.off_max()[d].unsigned_abs());
+            off as usize * strides[d]
+        })
+        .sum();
+    let margin = reach.max(sizes[1] * sizes[2] + sizes[2] + 1);
     let (lo, hi) = (margin, cells - margin - 1);
     assert!(lo < hi, "calibration buffer too small for stencil reach");
     let span = (hi - lo + 1) as u64;
@@ -179,7 +182,7 @@ pub fn within_band(ratio: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::StencilKind;
+    use stencil_core::{StencilDescriptor, StencilKind};
 
     #[test]
     fn bandwidth_and_ceilings_are_positive() {
@@ -232,9 +235,16 @@ mod tests {
 
     #[test]
     fn ceilings_exist_for_every_benchmark_stencil() {
-        for kind in StencilKind::ALL {
-            let c = measure_compute_ceiling(&kind.spec());
-            assert!(c > 1e6, "{} ceiling {c}", kind.name());
+        // Plus the radius-2 Lap4_2D, whose flat reach (two rows) is wider
+        // than a radius-1 stencil's.
+        let lap4 = StencilDescriptor::from_name("lap4_2d").expect("zoo stencil");
+        let specs = StencilKind::ALL
+            .map(|kind| (kind.name().to_string(), kind.spec()))
+            .into_iter()
+            .chain([(lap4.name.clone(), lap4.spec())]);
+        for (name, spec) in specs {
+            let c = measure_compute_ceiling(&spec);
+            assert!(c > 1e6, "{name} ceiling {c}");
         }
     }
 }
