@@ -1,74 +1,42 @@
 //! Compare two benchmark reports (`BENCH_exec.json` or
 //! `BENCH_serve.json`) and fail on regression.
 //!
-//! ```text
-//! bench-diff REFERENCE.json CURRENT.json [--band FRAC]
-//! ```
-//!
 //! Exit codes: 0 — no regression; 1 — at least one ratio metric fell
 //! below `reference × (1 − band)` or a reference row disappeared;
 //! 2 — usage or parse error. See [`experiments::benchdiff`] for what is
 //! compared and why absolute seconds are not.
 
 use experiments::benchdiff::{self, DEFAULT_BAND};
-use std::process::ExitCode;
+use experiments::flags::{self, Command, Stop};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: bench-diff REFERENCE.json CURRENT.json [--band FRAC]");
-    ExitCode::from(2)
+static BENCH_DIFF: Command = Command {
+    usage: "bench-diff REFERENCE.json CURRENT.json [--band FRAC]",
+    about: "Compare two benchmark reports on their machine-stable ratio\n\
+            metrics and exit nonzero when any falls below\n\
+            reference x (1 - band). BENCH_exec.json rows gate on\n\
+            speedup, simd_speedup, and roofline_ratio; BENCH_serve.json\n\
+            gates on store_hit_rate, answered_rate, and warm_speedup.",
+    flags: &[&[(
+        "--band",
+        "FRAC",
+        "allowed fractional drop, in [0, 1) (default: 0.6)",
+    )]],
+    positional: "REFERENCE.json CURRENT.json",
+};
+
+fn main() {
+    flags::exit(run(&flags::argv()))
 }
 
-fn main() -> ExitCode {
-    let mut paths: Vec<String> = Vec::new();
-    let mut band = DEFAULT_BAND;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--band" => {
-                let Some(v) = it.next() else {
-                    eprintln!("bench-diff: --band needs a value");
-                    return usage();
-                };
-                band = match v.parse::<f64>() {
-                    Ok(b) if (0.0..1.0).contains(&b) => b,
-                    _ => {
-                        eprintln!("bench-diff: --band must be a fraction in [0, 1), got '{v}'");
-                        return usage();
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "Compare two benchmark reports on their machine-stable ratio\n\
-                     metrics and exit nonzero when any falls below\n\
-                     reference x (1 - band). BENCH_exec.json rows gate on\n\
-                     speedup, simd_speedup, and roofline_ratio; BENCH_serve.json\n\
-                     gates on store_hit_rate, answered_rate, and warm_speedup.\n\n\
-                     usage: bench-diff REFERENCE.json CURRENT.json [--band FRAC]\n\
-                     default band: {DEFAULT_BAND}"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("bench-diff: unknown flag '{other}'");
-                return usage();
-            }
-            path => paths.push(path.to_string()),
-        }
-    }
-    let [reference, current] = paths.as_slice() else {
-        return usage();
-    };
-    let (reference, current) = match (
-        benchdiff::load_rows(reference),
-        benchdiff::load_rows(current),
-    ) {
-        (Ok(r), Ok(c)) => (r, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench-diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn run(argv: &[String]) -> Result<i32, Stop> {
+    let p = BENCH_DIFF.parse(argv)?;
+    let band = p
+        .parse_with("--band", "a fraction in [0, 1)", |v| {
+            v.parse().ok().filter(|b| (0.0..1.0).contains(b))
+        })?
+        .unwrap_or(DEFAULT_BAND);
+    let reference = benchdiff::load_rows(&p.positional[0])?;
+    let current = benchdiff::load_rows(&p.positional[1])?;
     let diff = benchdiff::diff_rows(&reference, &current, band);
     for r in &diff.rows {
         println!(
@@ -91,13 +59,31 @@ fn main() -> ExitCode {
             "bench-diff: {n} regression(s) beyond the {:.0}% band",
             100.0 * band
         );
-        ExitCode::FAILURE
+        Ok(1)
     } else {
         println!(
             "bench-diff: ok ({} metrics within the {:.0}% band)",
             diff.rows.len(),
             100.0 * band
         );
-        ExitCode::SUCCESS
+        Ok(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_lists_every_flag() {
+        let help = BENCH_DIFF.help();
+        assert!(help.contains(&format!("(default: {DEFAULT_BAND})")));
+        for (name, ..) in BENCH_DIFF.rows() {
+            assert!(
+                help.lines()
+                    .any(|l| l.split_whitespace().next() == Some(name)),
+                "{name} missing from the help"
+            );
+        }
     }
 }

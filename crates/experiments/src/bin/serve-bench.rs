@@ -1,16 +1,5 @@
-//! Load generator for the advisor's socket server.
-//!
-//! ```text
-//! serve-bench [--queries N] [--connections N] [--pipeline N]
-//!             [--zipf S] [--seed N]
-//!             [--devices a,b] [--stencils x,y] [--sizes s1,s2] [--times t1,t2]
-//!             [--samples N] [--threads N]
-//!             [--store PATH] [--store-stale-ok]
-//!             [--addr HOST:PORT]
-//!             [--workers N] [--queue-cap N] [--conn-queue-cap N]
-//!             [--window-us N] [--max-batch N]
-//!             [--out PATH] [--log-out PATH]
-//! ```
+//! Load generator for the advisor's socket server; `serve-bench --help`
+//! lists its flags.
 //!
 //! Default (spawn) mode measures the whole serving claim end to end on
 //! one machine, in one process:
@@ -34,240 +23,78 @@
 //! `--addr` the tool only replays against an external server and the
 //! server-side counter fields read zero.
 
+use experiments::flags::{self, Command, Flag, Stop};
 use experiments::servebench::{
-    parse_devices, parse_stencils, parse_usizes, query_jsonl, ClientStats, LatencySummary,
-    ServeBenchReport, ServeSection, ZipfSampler, DEFAULT_DEVICES, DEFAULT_SIZES, DEFAULT_STENCILS,
-    DEFAULT_TIMES,
+    query_jsonl, ClientStats, LatencySummary, ServeBenchReport, ServeSection, ZipfSampler,
 };
 use gpu_sim::DeviceConfig;
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use stencil_core::StencilDescriptor;
 
-struct Args {
-    queries: usize,
-    connections: usize,
-    pipeline: usize,
-    zipf_s: f64,
-    seed: u64,
-    devices: Vec<DeviceConfig>,
-    stencils: Vec<StencilDescriptor>,
-    sizes: Vec<usize>,
-    times: Vec<usize>,
-    samples: usize,
-    threads: Option<usize>,
-    store: Option<String>,
-    store_stale_ok: bool,
-    addr: Option<String>,
-    server: advisor::ServerConfig,
-    out: String,
-    log_out: Option<String>,
-}
+/// The replay's load shape.
+#[rustfmt::skip]
+const LOAD: &[Flag] = &[
+    ("--queries", "N", "total queries to replay (default: 100000)"),
+    ("--connections", "N", "concurrent client connections (default: 4)"),
+    ("--pipeline", "N", "max in-flight requests per connection (default: 32)"),
+    ("--zipf", "S", "key-skew exponent, 0 = uniform (default: 1.1)"),
+    ("--seed", "N", "deterministic sampling seed (default: 0x5EED)"),
+];
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        queries: 100_000,
-        connections: 4,
-        pipeline: 32,
-        zipf_s: 1.1,
-        seed: experiments::SEED,
-        devices: parse_devices(DEFAULT_DEVICES)?,
-        stencils: parse_stencils(DEFAULT_STENCILS)?,
-        sizes: parse_usizes(DEFAULT_SIZES, "--sizes")?,
-        times: parse_usizes(DEFAULT_TIMES, "--times")?,
-        samples: 16,
-        threads: None,
-        store: None,
-        store_stale_ok: false,
-        addr: None,
-        server: advisor::ServerConfig::default(),
-        out: "BENCH_serve.json".to_string(),
-        log_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--queries" => {
-                let v = next("--queries")?;
-                args.queries = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --queries '{v}'"))?;
-            }
-            "--connections" => {
-                let v = next("--connections")?;
-                args.connections = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --connections '{v}'"))?;
-            }
-            "--pipeline" => {
-                let v = next("--pipeline")?;
-                args.pipeline = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --pipeline '{v}'"))?;
-            }
-            "--zipf" => {
-                let v = next("--zipf")?;
-                args.zipf_s = v
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s >= 0.0)
-                    .ok_or(format!("invalid --zipf '{v}'"))?;
-            }
-            "--seed" => {
-                let v = next("--seed")?;
-                args.seed = v.parse().map_err(|_| format!("invalid --seed '{v}'"))?;
-            }
-            "--devices" => args.devices = parse_devices(&next("--devices")?)?,
-            "--stencils" => args.stencils = parse_stencils(&next("--stencils")?)?,
-            "--sizes" => args.sizes = parse_usizes(&next("--sizes")?, "--sizes")?,
-            "--times" => args.times = parse_usizes(&next("--times")?, "--times")?,
-            "--samples" => {
-                let v = next("--samples")?;
-                args.samples = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --samples '{v}'"))?;
-            }
-            "--threads" => {
-                let v = next("--threads")?;
-                args.threads = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|n: &usize| *n >= 1)
-                        .ok_or(format!("invalid --threads '{v}'"))?,
-                );
-            }
-            "--store" => args.store = Some(next("--store")?),
-            "--store-stale-ok" => args.store_stale_ok = true,
-            "--addr" => args.addr = Some(next("--addr")?),
-            "--workers" => {
-                let v = next("--workers")?;
-                args.server.workers = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --workers '{v}'"))?;
-            }
-            "--queue-cap" => {
-                let v = next("--queue-cap")?;
-                args.server.queue_cap = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --queue-cap '{v}'"))?;
-            }
-            "--conn-queue-cap" => {
-                let v = next("--conn-queue-cap")?;
-                args.server.conn_queue_cap = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --conn-queue-cap '{v}'"))?;
-            }
-            "--window-us" => {
-                let v = next("--window-us")?;
-                let us: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --window-us '{v}'"))?;
-                args.server.batch_window = Duration::from_micros(us);
-            }
-            "--max-batch" => {
-                let v = next("--max-batch")?;
-                args.server.max_batch = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --max-batch '{v}'"))?;
-            }
-            "--out" => args.out = next("--out")?,
-            "--log-out" => args.log_out = Some(next("--log-out")?),
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}' (try --help)")),
-        }
-    }
-    Ok(args)
-}
+/// Where the replayed server comes from, and where the report goes.
+#[rustfmt::skip]
+const TARGET: &[Flag] = &[
+    ("--store", "PATH", "load a precomputed answer store instead of building one"),
+    ("--store-stale-ok", "", "accept a store from a different git revision"),
+    ("--addr", "HOST:PORT", "replay against an already-running server\n\
+                             (client-side metrics only)"),
+    ("--out", "PATH", "report path (default: BENCH_serve.json)"),
+    flags::LOG_OUT,
+];
 
-fn print_help() {
-    println!(
-        "Replay zipf-skewed advisor queries against the socket server and write BENCH_serve.json.\n\n\
-         USAGE: serve-bench [FLAGS]\n\n\
-         LOAD SHAPE:\n\
-           --queries N           total queries to replay (default: 100000)\n\
-           --connections N       concurrent client connections (default: 4)\n\
-           --pipeline N          max in-flight requests per connection (default: 32)\n\
-           --zipf S              key-skew exponent, 0 = uniform (default: 1.1)\n\
-           --seed N              deterministic sampling seed (default: 0x5EED)\n\n\
-         KEY UNIVERSE (must match the store's precompute grid):\n\
-           --devices a,b         device presets (default: {DEFAULT_DEVICES})\n\
-           --stencils x,y        stencil kinds (default: {DEFAULT_STENCILS})\n\
-           --sizes s1,s2         per-dimension extents (default: {DEFAULT_SIZES})\n\
-           --times t1,t2         time horizons (default: {DEFAULT_TIMES})\n\n\
-         SERVER (spawn mode, the default):\n\
-           --store PATH          load a precomputed answer store instead of building one\n\
-           --store-stale-ok      accept a store from a different git revision\n\
-           --samples N           Citer micro-benchmark samples (default: 16)\n\
-           --threads N           size the global rayon pool\n\
-           --workers N           server worker threads\n\
-           --queue-cap N         shared admission queue bound\n\
-           --conn-queue-cap N    per-connection outstanding-line bound\n\
-           --window-us N         batch coalescing window, microseconds\n\
-           --max-batch N         max requests per worker batch\n\n\
-         EXTERNAL MODE:\n\
-           --addr HOST:PORT      replay against an already-running server\n\
-                                 (client-side metrics only)\n\n\
-         OUTPUT:\n\
-           --out PATH            report path (default: BENCH_serve.json)\n\
-           --log-out PATH        dump the run's telemetry as JSONL"
-    );
-}
+static SERVE_BENCH: Command = Command::new(
+    "serve-bench [FLAGS]",
+    "Replay zipf-skewed advisor queries against the socket server and write BENCH_serve.json.\n\n\
+     The key universe (--devices, --stencils, --sizes, --times) must match the\n\
+     store's precompute grid. Without --addr the server is spawned in-process\n\
+     and the server flags apply.",
+    &[LOAD, flags::GRID, TARGET, flags::SERVER, flags::THREADS],
+);
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(n) = args.threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
-    }
+    flags::exit(run(&flags::argv()))
+}
+
+fn run(argv: &[String]) -> Result<i32, Stop> {
+    let p = SERVE_BENCH.parse(argv)?;
+    let queries = p.count("--queries")?.unwrap_or(100_000);
+    let connections = p.count("--connections")?.unwrap_or(4);
+    let pipeline = p.count("--pipeline")?.unwrap_or(32);
+    let zipf_s = p.float("--zipf")?.unwrap_or(1.1);
+    let seed = p.u64("--seed")?.unwrap_or(experiments::SEED);
+    let grid = flags::Grid::parse(&p)?;
+    let server_config = flags::server_config(&p)?;
+    let out = p.path("--out").unwrap_or_else(|| "BENCH_serve.json".into());
+    flags::Threads::parse(&p)?.install();
 
     // The replay universe: one wire line per (device, stencil, size,
     // time) cell, plus the matching grid queries for precompute/cold.
     let universe_queries = advisor::grid_queries(
-        &args.devices,
-        &args.stencils,
-        &args.sizes,
-        &args.times,
+        &grid.devices,
+        &grid.stencils,
+        &grid.sizes,
+        &grid.times,
         0.10,
         10,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("error: invalid universe: {e}");
-        std::process::exit(2);
-    });
+    .map_err(|e| format!("invalid universe: {e}"))?;
     let mut universe_lines = Vec::with_capacity(universe_queries.len());
-    for device in &args.devices {
-        for stencil in &args.stencils {
-            for &s in &args.sizes {
-                for &t in &args.times {
+    for device in &grid.devices {
+        for stencil in &grid.stencils {
+            for &s in &grid.sizes {
+                for &t in &grid.times {
                     universe_lines.push(query_jsonl(device, stencil, s, t));
                 }
             }
@@ -277,14 +104,14 @@ fn main() {
     eprintln!(
         "universe: {} distinct keys ({} devices x {} stencils x {} sizes x {} times)",
         universe_lines.len(),
-        args.devices.len(),
-        args.stencils.len(),
-        args.sizes.len(),
-        args.times.len()
+        grid.devices.len(),
+        grid.stencils.len(),
+        grid.sizes.len(),
+        grid.times.len()
     );
 
     let advisor_cfg = advisor::AdvisorConfig {
-        citer_samples: args.samples,
+        citer_samples: grid.samples,
         seed: experiments::SEED,
         disk_dir: None,
         ..advisor::AdvisorConfig::default()
@@ -293,21 +120,20 @@ fn main() {
     // Phases 1+2 (spawn mode only): cold baseline, then the store.
     // Both run before telemetry is installed so the server-side counter
     // snapshot reports the replay alone.
-    let (cold_qps, store) = if args.addr.is_some() {
+    let (cold_qps, store) = if p.has("--addr") {
         (0.0, None)
-    } else if let Some(path) = &args.store {
-        let store =
-            advisor::AnswerStore::load(std::path::Path::new(path), args.store_stale_ok, None)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                });
+    } else if let Some(path) = p.value("--store") {
+        let store = advisor::AnswerStore::load(
+            std::path::Path::new(path),
+            p.has("--store-stale-ok"),
+            None,
+        )?;
         eprintln!("store: loaded {} answers from {path}", store.len());
         (cold_baseline(&advisor_cfg, &universe_queries), Some(store))
     } else {
         let cold = advisor::Advisor::new(advisor_cfg.clone());
         let cold_qps = {
-            prewarm_microbench(&cold, &args.devices, &args.stencils, &args.sizes);
+            prewarm_microbench(&cold, &grid.devices, &grid.stencils, &grid.sizes);
             let t0 = Instant::now();
             for q in &universe_queries {
                 std::hint::black_box(cold.advise(q));
@@ -316,7 +142,7 @@ fn main() {
         };
         // The cold advisor's mem cache now holds every universe key, so
         // building the store from it is pure cache hits.
-        let mut store = advisor::AnswerStore::empty(experiments::SEED, args.samples);
+        let mut store = advisor::AnswerStore::empty(experiments::SEED, grid.samples);
         let added = store.precompute(&cold, &universe_queries);
         eprintln!("store: precomputed {added} answers in-memory");
         (cold_qps, Some(store))
@@ -328,12 +154,11 @@ fn main() {
     // Phase 3: serve and replay.
     let recorder = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(recorder.clone());
-    let (addr, server) = match &args.addr {
+    let (addr, server) = match p.value("--addr") {
         Some(spec) => {
-            let addr = spec.parse().unwrap_or_else(|e| {
-                eprintln!("error: invalid --addr '{spec}': {e}");
-                std::process::exit(2);
-            });
+            let addr = spec
+                .parse()
+                .map_err(|e| format!("invalid --addr '{spec}': {e}"))?;
             (addr, None)
         }
         None => {
@@ -345,7 +170,7 @@ fn main() {
             let server = advisor::Server::start(
                 Arc::new(advisor::Advisor::new(serve_cfg)),
                 listener,
-                args.server.clone(),
+                server_config,
             )
             .expect("start server");
             (server.addr(), Some(server))
@@ -354,21 +179,19 @@ fn main() {
 
     // Deterministic per-connection workloads: connection i draws its
     // own zipf stream from seed+i.
-    let per_conn = args.queries / args.connections;
-    let remainder = args.queries % args.connections;
+    let per_conn = queries / connections;
+    let remainder = queries % connections;
     let universe = Arc::new(universe_lines);
     eprintln!(
         "replaying {} queries over {} connections (pipeline {}, zipf {}) against {addr} ...",
-        args.queries, args.connections, args.pipeline, args.zipf_s
+        queries, connections, pipeline, zipf_s
     );
     let t0 = Instant::now();
-    let clients: Vec<_> = (0..args.connections)
+    let clients: Vec<_> = (0..connections)
         .map(|c| {
             let universe = Arc::clone(&universe);
             let count = per_conn + usize::from(c < remainder);
-            let seed = args.seed.wrapping_add(c as u64);
-            let pipeline = args.pipeline;
-            let zipf_s = args.zipf_s;
+            let seed = seed.wrapping_add(c as u64);
             std::thread::spawn(move || {
                 let mut zipf = ZipfSampler::new(universe.len(), zipf_s, seed);
                 let lines: Vec<String> = (0..count)
@@ -391,23 +214,23 @@ fn main() {
 
     let snap = recorder.snapshot();
     let qps = stats.answered as f64 / wall_s;
-    let queries = snap.counter("advisor.queries");
+    let served = snap.counter("advisor.queries");
     let store_hits = snap.counter("advisor.store_hits");
     let mem_hits = snap.counter("advisor.cache_hits_mem");
     let disk_hits = snap.counter("advisor.cache_hits_disk");
     let rate = |n: u64| {
-        if queries == 0 {
+        if served == 0 {
             0.0
         } else {
-            n as f64 / queries as f64
+            n as f64 / served as f64
         }
     };
     let section = ServeSection {
-        connections: args.connections,
-        pipeline: args.pipeline,
+        connections,
+        pipeline,
         universe: universe.len(),
-        zipf_s: args.zipf_s,
-        seed: args.seed,
+        zipf_s,
+        seed,
         queries_sent: stats.sent,
         answered: stats.answered,
         shed: stats.shed,
@@ -421,7 +244,7 @@ fn main() {
         mem_hits,
         disk_hits,
         model_evals: snap.counter("advisor.model_evals"),
-        queries,
+        queries: served,
         store_hit_rate: rate(store_hits),
         cache_hit_rate: rate(store_hits + mem_hits + disk_hits),
         shed_rate: stats.shed as f64 / stats.sent.max(1) as f64,
@@ -452,13 +275,10 @@ fn main() {
         serve: section,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&args.out, json).expect("write report");
-    eprintln!("report written to {}", args.out);
-    if let Some(path) = &args.log_out {
-        let file = std::fs::File::create(path).expect("create --log-out file");
-        let mut w = std::io::BufWriter::new(file);
-        recorder.write_jsonl(&mut w).expect("write --log-out file");
-        std::io::Write::flush(&mut w).expect("flush --log-out file");
+    std::fs::write(&out, json).expect("write report");
+    eprintln!("report written to {out}");
+    if let Some(path) = p.value("--log-out") {
+        flags::write_log(&recorder, path);
         eprintln!("telemetry log written to {path}");
     }
     if report.serve.errors > 0 {
@@ -466,8 +286,9 @@ fn main() {
             "error: {} queries answered with errors",
             report.serve.errors
         );
-        std::process::exit(1);
+        return Ok(1);
     }
+    Ok(0)
 }
 
 /// Cold baseline when the store came from disk: computed on a throwaway
@@ -516,6 +337,23 @@ fn prewarm_microbench(
             for q in &queries {
                 std::hint::black_box(advisor.advise(q));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_lists_every_flag() {
+        let help = SERVE_BENCH.help();
+        for (name, ..) in SERVE_BENCH.rows() {
+            assert!(
+                help.lines()
+                    .any(|l| l.split_whitespace().next() == Some(name)),
+                "{name} missing from the help"
+            );
         }
     }
 }

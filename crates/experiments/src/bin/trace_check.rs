@@ -1,9 +1,5 @@
 //! Validate the driver's telemetry artifacts.
 //!
-//! ```text
-//! trace_check [--trace PATH] [--log PATH]
-//! ```
-//!
 //! `--trace` checks a Chrome trace-event file: the JSON parses, it is the
 //! object form with a `traceEvents` array, every event carries `ph`/`pid`/
 //! `tid`, every `"X"` event carries finite `ts`/`dur`, and at least one
@@ -11,15 +7,20 @@
 //! line parses as a JSON object with a `kind` discriminator, and the
 //! leading `meta` line's `events`/`spans` totals match the body. Exits
 //! non-zero with a message on the first violation — CI runs this against
-//! the smoke-scale `--fig6` artifacts.
+//! the smoke-scale `--fig6` artifacts. A usage error exits 2.
 
+use experiments::flags::{self, Command, Stop};
 use serde::Value;
-use std::process::ExitCode;
 
-fn fail(msg: String) -> ExitCode {
-    eprintln!("trace_check: {msg}");
-    ExitCode::FAILURE
-}
+static TRACE_CHECK: Command = Command::new(
+    "trace_check [--trace PATH] [--log PATH]",
+    "Validate the driver's telemetry artifacts: a Chrome trace-event file\n\
+     and a JSONL structured log. Exits 1 on the first violation.",
+    &[&[
+        ("--trace", "PATH", "check a Chrome trace-event JSON file"),
+        ("--log", "PATH", "check a JSONL structured log"),
+    ]],
+);
 
 fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -126,34 +127,43 @@ fn check_log(path: &str) -> Result<String, String> {
     ))
 }
 
-fn main() -> ExitCode {
-    let mut it = std::env::args().skip(1);
-    let mut checked = 0;
-    while let Some(a) = it.next() {
-        let (kind, path) = match a.as_str() {
-            "--trace" => ("trace", it.next()),
-            "--log" => ("log", it.next()),
-            other => {
-                return fail(format!(
-                    "unknown argument '{other}' (use --trace/--log PATH)"
-                ))
-            }
-        };
-        let Some(path) = path else {
-            return fail(format!("--{kind} needs a path"));
-        };
-        let result = match kind {
-            "trace" => check_trace(&path),
-            _ => check_log(&path),
-        };
+fn main() {
+    flags::exit(run(&flags::argv()))
+}
+
+fn run(argv: &[String]) -> Result<i32, Stop> {
+    let p = TRACE_CHECK.parse(argv)?;
+    if !p.has("--trace") && !p.has("--log") {
+        return Err(Stop::Fail(
+            "nothing to check (use --trace PATH and/or --log PATH)".into(),
+        ));
+    }
+    let traces = p.all("--trace").map(|v| check_trace(&v[0]));
+    for result in traces.chain(p.all("--log").map(|v| check_log(&v[0]))) {
         match result {
             Ok(msg) => println!("{msg}"),
-            Err(msg) => return fail(msg),
+            Err(msg) => {
+                eprintln!("trace_check: {msg}");
+                return Ok(1);
+            }
         }
-        checked += 1;
     }
-    if checked == 0 {
-        return fail("nothing to check (use --trace PATH and/or --log PATH)".into());
+    Ok(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_lists_every_flag() {
+        let help = TRACE_CHECK.help();
+        for (name, ..) in TRACE_CHECK.rows() {
+            assert!(
+                help.lines()
+                    .any(|l| l.split_whitespace().next() == Some(name)),
+                "{name} missing from the help"
+            );
+        }
     }
-    ExitCode::SUCCESS
 }

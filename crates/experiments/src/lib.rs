@@ -29,6 +29,7 @@ pub mod benchdiff;
 pub mod context;
 pub mod extensions;
 pub mod figures;
+pub mod flags;
 pub mod manifest;
 pub mod output;
 pub mod rmse;

@@ -1,31 +1,8 @@
 //! Command-line driver: regenerate the paper's tables and figures.
 //!
-//! ```text
-//! experiments [--all] [--table2] [--table3] [--table4]
-//!             [--fig3] [--fig4] [--fig5] [--fig6]
-//!             [--scale paper|reduced|smoke] [--dims 2d|3d|all]
-//!             [--exhaustive] [--threads N] [--bench-exec] [--check-roofline]
-//!             [--out DIR]
-//!             [--log-out PATH] [--log-level quiet|info|debug]
-//!             [--trace-out PATH] [--metrics-out PATH] [--metrics-interval-ms N]
-//! experiments serve [--queries PATH] [--cache-dir DIR] [--no-disk-cache]
-//!                   [--mem-cap N] [--samples N] [--threads N]
-//!                   [--listen ADDR] [--port-file PATH]
-//!                   [--store PATH] [--store-stale-ok]
-//!                   [--calib PATH]
-//!                   [--workers N] [--queue-cap N] [--conn-queue-cap N]
-//!                   [--window-us N] [--max-batch N]
-//!                   [--log-out PATH] [--log-level quiet|info|debug]
-//!                   [--metrics-out PATH] [--metrics-interval-ms N]
-//!                   [--accuracy-log PATH]
-//! experiments precompute [--out PATH] [--devices a,b] [--stencils x,y]
-//!                        [--sizes s1,s2] [--times t1,t2] [--within F]
-//!                        [--top-n N] [--samples N] [--threads N]
-//!                        [--calib PATH]
-//! experiments calibrate [--log PATH] [--out PATH] [--min-evidence N]
-//!                       [--merge PATH] [--freeze]
-//!                       [--inspect PATH] [--compare PRE POST]
-//! ```
+//! `experiments --help` lists the driver's flags and
+//! `experiments serve|precompute|calibrate --help` those of each
+//! subcommand; every help text is rendered from the flag tables below.
 //!
 //! The `serve` subcommand runs the tile-size advisory service: JSON-lines
 //! queries in (stdin or `--queries`), JSON-lines answers out on stdout —
@@ -40,241 +17,167 @@
 
 use experiments::context::{ExperimentScale, Lab};
 use experiments::figures::Fig6Detail;
+use experiments::flags::{self, Command, Flag, Stop};
 use experiments::output::Results;
-use experiments::{figures, tables, RunManifest};
+use experiments::{figures, tables, RunManifest, DEFAULT_OUT_DIR};
 use gpu_sim::{DeviceConfig, SimWorkload};
 use hhc_tiling::TilingPlan;
-use std::io::Write as _;
 use std::sync::Arc;
 use stencil_core::{ProblemSize, StencilDim, StencilKind};
 use tile_opt::strategy::{DataPoint, Strategy};
 
-struct Args {
-    ablation: bool,
-    solver: bool,
-    wavefront: bool,
-    bench_exec: bool,
-    check_roofline: bool,
-    threads: Option<usize>,
-    table2: bool,
-    table3: bool,
-    table4: bool,
-    fig3: bool,
-    fig4: bool,
-    fig5: bool,
-    fig6: bool,
-    zoo: bool,
-    scale: ExperimentScale,
-    dims: Vec<StencilDim>,
-    exhaustive: bool,
-    out: String,
-    log_out: Option<String>,
-    log_level: obs::Level,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    metrics_interval_ms: u64,
-}
+/// The driver's experiments; a run that names none prints the help.
+#[rustfmt::skip]
+const EXPERIMENTS: &[Flag] = &[
+    ("--all", "", "run --table2 through --fig6"),
+    ("--table2", "", "GPU configurations (paper Table 2)"),
+    ("--table3", "", "measured L, tau_sync, T_sync (Table 3)"),
+    ("--table4", "", "measured Citer per benchmark (Table 4)"),
+    ("--fig3|--figure3", "", "model validation + RMSE bands (Figure 3, Section 5.3)"),
+    ("--fig4|--figure4", "", "Talg surface for Heat2D (Figure 4)"),
+    ("--fig5|--figure5", "", "Gradient2D candidate scatter (Figure 5)"),
+    ("--fig6|--figure6", "", "strategy GFLOPS comparison (Figure 6)"),
+    ("--zoo", "", "run the non-paper zoo stencils (radius-2 star, asymmetric\n\
+                   3D advection) through the Figure 3 + Figure 6 pipelines;\n\
+                   exits nonzero if any within-10% candidate set is empty"),
+    ("--ablation", "", "model-variant + machine-effect ablations (extensions)"),
+    ("--solver", "", "heuristic solvers vs exhaustive sweep (Section 6.1)"),
+    ("--compare-wavefront", "", "time tiling vs classic wavefront-parallel schedule"),
+    ("--bench-exec", "", "executor fast-path + memoization benchmark\n\
+                          (writes BENCH_exec.json)"),
+    ("--check-roofline", "", "implies --bench-exec; exit nonzero unless every exec row's\n\
+                              measured/predicted throughput ratio sits in the tolerance\n\
+                              band (the roofline self-model CI gate)"),
+];
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        ablation: false,
-        solver: false,
-        wavefront: false,
-        bench_exec: false,
-        check_roofline: false,
-        threads: None,
-        table2: false,
-        table3: false,
-        table4: false,
-        fig3: false,
-        fig4: false,
-        fig5: false,
-        fig6: false,
-        zoo: false,
-        scale: ExperimentScale::Paper,
-        dims: vec![StencilDim::D2, StencilDim::D3],
-        exhaustive: false,
-        out: experiments::DEFAULT_OUT_DIR.to_string(),
-        log_out: None,
-        log_level: obs::Level::Info,
-        trace_out: None,
-        metrics_out: None,
-        metrics_interval_ms: 1000,
-    };
-    let mut it = std::env::args().skip(1);
-    let mut any = false;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--all" => {
-                args.table2 = true;
-                args.table3 = true;
-                args.table4 = true;
-                args.fig3 = true;
-                args.fig4 = true;
-                args.fig5 = true;
-                args.fig6 = true;
-                any = true;
-            }
-            "--table2" => {
-                args.table2 = true;
-                any = true;
-            }
-            "--table3" => {
-                args.table3 = true;
-                any = true;
-            }
-            "--table4" => {
-                args.table4 = true;
-                any = true;
-            }
-            "--fig3" | "--figure3" => {
-                args.fig3 = true;
-                any = true;
-            }
-            "--fig4" | "--figure4" => {
-                args.fig4 = true;
-                any = true;
-            }
-            "--fig5" | "--figure5" => {
-                args.fig5 = true;
-                any = true;
-            }
-            "--fig6" | "--figure6" => {
-                args.fig6 = true;
-                any = true;
-            }
-            "--zoo" => {
-                args.zoo = true;
-                any = true;
-            }
-            "--exhaustive" => args.exhaustive = true,
-            "--ablation" => {
-                args.ablation = true;
-                any = true;
-            }
-            "--solver" => {
-                args.solver = true;
-                any = true;
-            }
-            "--compare-wavefront" => {
-                args.wavefront = true;
-                any = true;
-            }
-            "--bench-exec" => {
-                args.bench_exec = true;
-                any = true;
-            }
-            "--check-roofline" => {
-                args.bench_exec = true;
-                args.check_roofline = true;
-                any = true;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid thread count '{v}'"))?;
-                if n == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-                args.threads = Some(n);
-            }
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                args.scale = ExperimentScale::parse(&v).ok_or(format!("unknown scale '{v}'"))?;
-            }
-            "--dims" => {
-                let v = it.next().ok_or("--dims needs a value")?;
-                args.dims = match v.as_str() {
-                    "1d" => vec![StencilDim::D1],
-                    "2d" => vec![StencilDim::D2],
-                    "3d" => vec![StencilDim::D3],
-                    "all" => vec![StencilDim::D2, StencilDim::D3],
-                    "all+1d" => vec![StencilDim::D1, StencilDim::D2, StencilDim::D3],
-                    _ => return Err(format!("unknown dims '{v}'")),
-                };
-            }
-            "--out" => args.out = it.next().ok_or("--out needs a value")?,
-            "--log-out" => args.log_out = Some(it.next().ok_or("--log-out needs a value")?),
-            "--log-level" => {
-                let v = it.next().ok_or("--log-level needs a value")?;
-                args.log_level = obs::Level::parse(&v).ok_or(format!("unknown log level '{v}'"))?;
-            }
-            "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a value")?),
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().ok_or("--metrics-out needs a value")?)
-            }
-            "--metrics-interval-ms" => {
-                let v = it.next().ok_or("--metrics-interval-ms needs a value")?;
-                args.metrics_interval_ms = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --metrics-interval-ms '{v}'"))?;
-            }
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}' (try --help)")),
-        }
-    }
-    if !any {
-        print_help();
-        std::process::exit(0);
-    }
-    Ok(args)
-}
+/// How the driver's experiments run and where their output goes.
+#[rustfmt::skip]
+const DRIVER_OPTIONS: &[Flag] = &[
+    ("--scale", "paper|reduced|smoke", "problem-size grids (default: paper)"),
+    ("--dims", "1d|2d|3d|all|all+1d", "dimensionalities for --fig3 (default: all)"),
+    ("--exhaustive", "", "add the Exhaustive strategy to --fig6"),
+    ("--out", "DIR", "output directory (default: results)"),
+    ("--trace-out", "PATH", "write a Chrome trace-event JSON file (open in\n\
+                             chrome://tracing or https://ui.perfetto.dev): driver\n\
+                             phase spans plus, with --fig6, the simulated two-pipe\n\
+                             SM schedule of the chosen configuration"),
+];
 
-fn print_help() {
-    println!(
-        "Regenerate the tables and figures of the PPoPP'17 stencil time-model paper.\n\n\
-         USAGE: experiments [FLAGS]\n\n\
-         FLAGS:\n\
-           --all                 run everything below\n\
-           --table2              GPU configurations (paper Table 2)\n\
-           --table3              measured L, tau_sync, T_sync (Table 3)\n\
-           --table4              measured Citer per benchmark (Table 4)\n\
-           --fig3                model validation + RMSE bands (Figure 3, Section 5.3)\n\
-           --fig4                Talg surface for Heat2D (Figure 4)\n\
-           --fig5                Gradient2D candidate scatter (Figure 5)\n\
-           --fig6                strategy GFLOPS comparison (Figure 6)\n\
-           --zoo                 run the non-paper zoo stencils (radius-2 star, asymmetric\n\
-                                 3D advection) through the Figure 3 + Figure 6 pipelines;\n\
-                                 exits nonzero if any within-10% candidate set is empty\n\
-           --scale paper|reduced|smoke   problem-size grids (default: paper)\n\
-           --dims 1d|2d|3d|all|all+1d  dimensionalities for --fig3 (default: all)\n\
-           --exhaustive          add the Exhaustive strategy to --fig6\n\
-           --ablation            model-variant + machine-effect ablations (extensions)\n\
-           --solver              heuristic solvers vs exhaustive sweep (Section 6.1)\n\
-           --compare-wavefront   time tiling vs classic wavefront-parallel schedule\n\
-           --bench-exec          executor fast-path + memoization benchmark (writes BENCH_exec.json)\n\
-           --check-roofline      implies --bench-exec; exit nonzero unless every exec row's\n\
-                                 measured/predicted throughput ratio sits in the tolerance\n\
-                                 band (the roofline self-model CI gate)\n\
-           --threads N           size the global rayon pool (default: all cores);\n\
-                                 results are bit-identical for any N — parallel maps\n\
-                                 preserve input order, so thread count only affects speed\n\
-           --out DIR             output directory (default: results)\n\
-           --log-out PATH        write the run's structured telemetry as JSONL\n\
-           --log-level LEVEL     event verbosity: quiet|info|debug (default: info);\n\
-                                 counters/histograms/spans are always collected\n\
-           --trace-out PATH      write a Chrome trace-event JSON file (open in\n\
-                                 chrome://tracing or https://ui.perfetto.dev): driver\n\
-                                 phase spans plus, with --fig6, the simulated two-pipe\n\
-                                 SM schedule of the chosen configuration\n\
-           --metrics-out PATH    stream one JSON metrics-summary line per interval\n\
-                                 (counters, gauges, histogram quantiles); a .prom\n\
-                                 extension writes Prometheus text exposition instead\n\
-           --metrics-interval-ms N   emitter period (default: 1000)\n\n\
-         SUBCOMMANDS:\n\
-           serve                 tile-size advisory service over JSON lines or a\n\
-                                 TCP socket (see: experiments serve --help)\n\
-           precompute            sweep the model over a grid into an on-disk\n\
-                                 answer store (see: experiments precompute --help)\n\
-           calibrate             fit model corrections from the accuracy log into\n\
-                                 a calibration store (see: experiments calibrate --help)"
-    );
+static DRIVER: Command = Command::new(
+    "experiments [FLAGS]",
+    "Regenerate the tables and figures of the PPoPP'17 stencil time-model paper.\n\n\
+     Subcommands, each with its own --help: `serve` answers tile-size queries\n\
+     over JSON lines or a TCP socket, `precompute` sweeps the model over a grid\n\
+     into an on-disk answer store, and `calibrate` fits model corrections from\n\
+     the accuracy log into a calibration store.",
+    &[
+        EXPERIMENTS,
+        DRIVER_OPTIONS,
+        flags::THREADS,
+        flags::TELEMETRY,
+    ],
+);
+
+#[rustfmt::skip]
+const SERVE_FLAGS: &[Flag] = &[
+    ("--queries", "PATH", "read queries from PATH instead of stdin"),
+    ("--listen", "ADDR", "serve over TCP (e.g. 127.0.0.1:7077; port 0 picks\n\
+                          an ephemeral port) until killed"),
+    ("--port-file", "PATH", "write the bound port number to PATH once listening\n\
+                             (readiness signal for scripts and CI)"),
+    ("--store", "PATH", "load a precomputed answer store (see: experiments\n\
+                         precompute); steady-state hits are pure lookup"),
+    ("--store-stale-ok", "", "accept a store from a different git or calibration\n\
+                              revision (stale entries are re-derived, not served)"),
+    ("--calib", "PATH", "load a calibration store (see: experiments\n\
+                         calibrate); its per-segment corrections refine the\n\
+                         model before ranking, and answers carry calib_rev"),
+    ("--cache-dir", "DIR", "on-disk answer cache (default: results/advisor_cache);\n\
+                            entries are invalidated by any git revision change"),
+    ("--no-disk-cache", "", "keep answers only in the in-memory LRU"),
+    ("--mem-cap", "N", "in-memory LRU capacity (default: 256)"),
+    ("--accuracy-log", "PATH", "append (predicted, measured) pairs from validated\n\
+                                queries (default: results/accuracy_log.jsonl)"),
+];
+
+static SERVE: Command = Command::new(
+    "experiments serve [FLAGS]",
+    "Tile-size advisory service: JSON-lines queries in, JSON-lines answers out.\n\n\
+     Reads one JSON query object per line from stdin (or --queries FILE)\n\
+     to end-of-input, answers the whole batch — duplicate queries are\n\
+     computed once — and writes one answer line per query on stdout, in\n\
+     input order. With --listen, runs the concurrent socket server\n\
+     instead: many JSON-lines connections on a worker pool, with\n\
+     cross-client coalescing, bounded queues (explicit 'overloaded'\n\
+     shedding), and optional precomputed-answer serving. See README.md,\n\
+     sections \"Advisor service\" and \"Serving at scale\".",
+    &[
+        SERVE_FLAGS,
+        flags::SERVER,
+        &[flags::SAMPLES],
+        flags::THREADS,
+        flags::TELEMETRY,
+    ],
+);
+
+#[rustfmt::skip]
+const PRECOMPUTE_FLAGS: &[Flag] = &[
+    ("--out", "PATH", "store file (default: results/advisor_store.jsonl)"),
+    ("--within", "F", "candidate band fraction (default: 0.10 — must match\n\
+                       the queries the server will see)"),
+    ("--top-n", "N", "candidates per answer (default: 10 — ditto)"),
+    ("--calib", "PATH", "apply a calibration store's corrections while\n\
+                         sweeping; the answer store records its revision"),
+];
+
+static PRECOMPUTE: Command = Command::new(
+    "experiments precompute [FLAGS]",
+    "Sweep the Eqn-31 model over a (device, stencil, size, time) grid and write\n\
+     the answers to an on-disk store that `experiments serve --store` loads at\n\
+     startup — steady-state serving becomes pure lookup with zero model\n\
+     evaluations.\n\n\
+     The store records the git revision (and calibration revision, if any)\n\
+     that computed it; serving under a different one requires\n\
+     --store-stale-ok.",
+    &[PRECOMPUTE_FLAGS, flags::GRID, flags::THREADS],
+);
+
+#[rustfmt::skip]
+const CALIBRATE_FLAGS: &[Flag] = &[
+    ("--log", "PATH", "accuracy log to fit from, .1 rollover included\n\
+                       (default: results/accuracy_log.jsonl)"),
+    ("--out", "PATH", "calibration store to write\n\
+                       (default: results/calib_store.jsonl)"),
+    ("--min-evidence", "N", "pairs before a factor is served (default: 8)"),
+    ("--merge", "PATH", "fold an existing store's evidence into the fit\n\
+                         (running sums add; the new gate wins)"),
+    ("--freeze", "", "mark the store frozen: later calibrate runs\n\
+                      refuse to fold more evidence into it"),
+    ("--inspect", "PATH", "print a store's segments and factors, then exit\n\
+                           (no fitting)"),
+    ("--compare", "PRE POST", "compare per-segment RMSE of two accuracy logs;\n\
+                               exit 0 iff every shared segment improved or held\n\
+                               and at least one segment is shared (no fitting)"),
+];
+
+static CALIBRATE: Command = Command::new(
+    "experiments calibrate [FLAGS]",
+    "Fit per-(device, stencil, dim) model corrections from the accuracy log\n\
+     that validated serving (and --bench-exec) appended, and write them to a\n\
+     calibration store for `experiments serve --calib` / `precompute --calib`.\n\n\
+     Each accuracy row whose measured/predicted ratio and memory-bound\n\
+     attribution are usable feeds the segment's Citer factor (compute-bound\n\
+     rows) or memory-term factor (memory-bound rows). A factor is served\n\
+     only once it has at least --min-evidence pairs; under-evidenced\n\
+     segments leave the model untouched, bit for bit.",
+    &[CALIBRATE_FLAGS],
+);
+
+/// Load the calibration store at `path`, reporting a failure as a usage
+/// error on `--calib`.
+fn load_calib(path: &str) -> Result<calib::CalibrationStore, String> {
+    calib::CalibrationStore::load(std::path::Path::new(path))
+        .map_err(|e| format!("--calib {path}: {e}"))
 }
 
 /// The workload behind one Figure 6 cell's chosen configuration: enough
@@ -350,416 +253,24 @@ fn pct(v: Option<f64>) -> f64 {
     v.map_or(f64::NAN, |x| 100.0 * x)
 }
 
-/// Flags of the `serve` subcommand.
-struct ServeArgs {
-    queries: Option<String>,
-    listen: Option<String>,
-    port_file: Option<String>,
-    store: Option<String>,
-    store_stale_ok: bool,
-    calib: Option<String>,
-    server: advisor::ServerConfig,
-    cache_dir: Option<String>,
-    mem_cap: usize,
-    samples: usize,
-    threads: Option<usize>,
-    log_out: Option<String>,
-    log_level: obs::Level,
-    metrics_out: Option<String>,
-    metrics_interval_ms: u64,
-    accuracy_log: String,
-}
-
-fn parse_serve_args(rest: impl Iterator<Item = String>) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        queries: None,
-        listen: None,
-        port_file: None,
-        store: None,
-        store_stale_ok: false,
-        calib: None,
-        server: advisor::ServerConfig::default(),
-        cache_dir: Some(format!("{}/advisor_cache", experiments::DEFAULT_OUT_DIR)),
-        mem_cap: 256,
-        samples: 16,
-        threads: None,
-        log_out: None,
-        log_level: obs::Level::Info,
-        metrics_out: None,
-        metrics_interval_ms: 1000,
-        accuracy_log: format!("{}/accuracy_log.jsonl", experiments::DEFAULT_OUT_DIR),
-    };
-    let mut it = rest;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--queries" => args.queries = Some(it.next().ok_or("--queries needs a value")?),
-            "--listen" => args.listen = Some(it.next().ok_or("--listen needs a value")?),
-            "--port-file" => args.port_file = Some(it.next().ok_or("--port-file needs a value")?),
-            "--store" => args.store = Some(it.next().ok_or("--store needs a value")?),
-            "--store-stale-ok" => args.store_stale_ok = true,
-            "--calib" => args.calib = Some(it.next().ok_or("--calib needs a value")?),
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                args.server.workers = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --workers '{v}'"))?;
-            }
-            "--queue-cap" => {
-                let v = it.next().ok_or("--queue-cap needs a value")?;
-                args.server.queue_cap = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --queue-cap '{v}'"))?;
-            }
-            "--conn-queue-cap" => {
-                let v = it.next().ok_or("--conn-queue-cap needs a value")?;
-                args.server.conn_queue_cap = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --conn-queue-cap '{v}'"))?;
-            }
-            "--window-us" => {
-                let v = it.next().ok_or("--window-us needs a value")?;
-                let us: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --window-us '{v}'"))?;
-                args.server.batch_window = std::time::Duration::from_micros(us);
-            }
-            "--max-batch" => {
-                let v = it.next().ok_or("--max-batch needs a value")?;
-                args.server.max_batch = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --max-batch '{v}'"))?;
-            }
-            "--cache-dir" => args.cache_dir = Some(it.next().ok_or("--cache-dir needs a value")?),
-            "--no-disk-cache" => args.cache_dir = None,
-            "--mem-cap" => {
-                let v = it.next().ok_or("--mem-cap needs a value")?;
-                args.mem_cap = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --mem-cap '{v}'"))?;
-            }
-            "--samples" => {
-                let v = it.next().ok_or("--samples needs a value")?;
-                args.samples = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --samples '{v}'"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|n: &usize| *n >= 1)
-                    .ok_or(format!("invalid thread count '{v}'"))?
-                    .into();
-            }
-            "--log-out" => args.log_out = Some(it.next().ok_or("--log-out needs a value")?),
-            "--log-level" => {
-                let v = it.next().ok_or("--log-level needs a value")?;
-                args.log_level = obs::Level::parse(&v).ok_or(format!("unknown log level '{v}'"))?;
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().ok_or("--metrics-out needs a value")?)
-            }
-            "--metrics-interval-ms" => {
-                let v = it.next().ok_or("--metrics-interval-ms needs a value")?;
-                args.metrics_interval_ms = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --metrics-interval-ms '{v}'"))?;
-            }
-            "--accuracy-log" => {
-                args.accuracy_log = it.next().ok_or("--accuracy-log needs a value")?
-            }
-            "--help" | "-h" => {
-                print_serve_help();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown serve argument '{other}' (try --help)")),
-        }
-    }
-    Ok(args)
-}
-
-fn print_serve_help() {
-    println!(
-        "Tile-size advisory service: JSON-lines queries in, JSON-lines answers out.\n\n\
-         USAGE: experiments serve [FLAGS]\n\n\
-         Reads one JSON query object per line from stdin (or --queries FILE)\n\
-         to end-of-input, answers the whole batch — duplicate queries are\n\
-         computed once — and writes one answer line per query on stdout, in\n\
-         input order. With --listen, runs the concurrent socket server\n\
-         instead: many JSON-lines connections on a worker pool, with\n\
-         cross-client coalescing, bounded queues (explicit 'overloaded'\n\
-         shedding), and optional precomputed-answer serving. See README.md,\n\
-         sections \"Advisor service\" and \"Serving at scale\".\n\n\
-         FLAGS:\n\
-           --queries PATH        read queries from PATH instead of stdin\n\
-           --listen ADDR         serve over TCP (e.g. 127.0.0.1:7077; port 0 picks\n\
-                                 an ephemeral port) until killed\n\
-           --port-file PATH      write the bound port number to PATH once listening\n\
-                                 (readiness signal for scripts and CI)\n\
-           --store PATH          load a precomputed answer store (see: experiments\n\
-                                 precompute); steady-state hits are pure lookup\n\
-           --store-stale-ok      accept a store from a different git or calibration\n\
-                                 revision (stale entries are re-derived, not served)\n\
-           --calib PATH          load a calibration store (see: experiments\n\
-                                 calibrate); its per-segment corrections refine the\n\
-                                 model before ranking, and answers carry calib_rev\n\
-           --workers N           socket worker threads (default: core count)\n\
-           --queue-cap N         shared admission queue bound (default: 1024)\n\
-           --conn-queue-cap N    per-connection outstanding-line bound (default: 128)\n\
-           --window-us N         batch coalescing window in us (default: 500)\n\
-           --max-batch N         max requests per worker batch (default: 64)\n\
-           --cache-dir DIR       on-disk answer cache (default: {}/advisor_cache);\n\
-                                 entries are invalidated by any git revision change\n\
-           --no-disk-cache       keep answers only in the in-memory LRU\n\
-           --mem-cap N           in-memory LRU capacity (default: 256)\n\
-           --samples N           Citer micro-benchmark samples (default: 16)\n\
-           --threads N           size the global rayon pool (default: all cores)\n\
-           --log-out PATH        write the run's structured telemetry as JSONL\n\
-           --log-level LEVEL     event verbosity: quiet|info|debug (default: info)\n\
-           --metrics-out PATH    stream one JSON metrics-summary line per interval\n\
-                                 (.prom extension: Prometheus text exposition)\n\
-           --metrics-interval-ms N   emitter period (default: 1000)\n\
-           --accuracy-log PATH   append (predicted, measured) pairs from validated\n\
-                                 queries (default: {}/accuracy_log.jsonl)",
-        experiments::DEFAULT_OUT_DIR,
-        experiments::DEFAULT_OUT_DIR
-    );
-}
-
-/// Flags of the `precompute` subcommand.
-struct PrecomputeArgs {
-    out: String,
-    devices: Vec<DeviceConfig>,
-    stencils: Vec<stencil_core::StencilDescriptor>,
-    sizes: Vec<usize>,
-    times: Vec<usize>,
-    within: f64,
-    top_n: usize,
-    samples: usize,
-    threads: Option<usize>,
-    calib: Option<String>,
-}
-
-fn parse_precompute_args(rest: impl Iterator<Item = String>) -> Result<PrecomputeArgs, String> {
-    use experiments::servebench::{
-        parse_devices, parse_stencils, parse_usizes, DEFAULT_DEVICES, DEFAULT_SIZES,
-        DEFAULT_STENCILS, DEFAULT_TIMES,
-    };
-    let mut args = PrecomputeArgs {
-        out: format!("{}/advisor_store.jsonl", experiments::DEFAULT_OUT_DIR),
-        devices: parse_devices(DEFAULT_DEVICES)?,
-        stencils: parse_stencils(DEFAULT_STENCILS)?,
-        sizes: parse_usizes(DEFAULT_SIZES, "--sizes")?,
-        times: parse_usizes(DEFAULT_TIMES, "--times")?,
-        within: 0.10,
-        top_n: 10,
-        samples: 16,
-        threads: None,
-        calib: None,
-    };
-    let mut it = rest;
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--out" => args.out = next("--out")?,
-            "--devices" => args.devices = parse_devices(&next("--devices")?)?,
-            "--stencils" => args.stencils = parse_stencils(&next("--stencils")?)?,
-            "--sizes" => args.sizes = parse_usizes(&next("--sizes")?, "--sizes")?,
-            "--times" => args.times = parse_usizes(&next("--times")?, "--times")?,
-            "--within" => {
-                let v = next("--within")?;
-                args.within = v
-                    .parse()
-                    .ok()
-                    .filter(|f: &f64| f.is_finite() && *f >= 0.0)
-                    .ok_or(format!("invalid --within '{v}'"))?;
-            }
-            "--top-n" => {
-                let v = next("--top-n")?;
-                args.top_n = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --top-n '{v}'"))?;
-            }
-            "--samples" => {
-                let v = next("--samples")?;
-                args.samples = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --samples '{v}'"))?;
-            }
-            "--threads" => {
-                let v = next("--threads")?;
-                args.threads = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|n: &usize| *n >= 1)
-                        .ok_or(format!("invalid thread count '{v}'"))?,
-                );
-            }
-            "--calib" => args.calib = Some(next("--calib")?),
-            "--help" | "-h" => {
-                print_precompute_help();
-                std::process::exit(0);
-            }
-            other => {
-                return Err(format!(
-                    "unknown precompute argument '{other}' (try --help)"
-                ))
-            }
-        }
-    }
-    Ok(args)
-}
-
-fn print_precompute_help() {
-    use experiments::servebench::{
-        DEFAULT_DEVICES, DEFAULT_SIZES, DEFAULT_STENCILS, DEFAULT_TIMES,
-    };
-    println!(
-        "Sweep the Eqn-31 model over a (device, stencil, size, time) grid and write\n\
-         the answers to an on-disk store that `experiments serve --store` loads at\n\
-         startup — steady-state serving becomes pure lookup with zero model\n\
-         evaluations.\n\n\
-         USAGE: experiments precompute [FLAGS]\n\n\
-         FLAGS:\n\
-           --out PATH            store file (default: {}/advisor_store.jsonl)\n\
-           --devices a,b         device presets (default: {DEFAULT_DEVICES})\n\
-           --stencils x,y        stencil kinds (default: {DEFAULT_STENCILS})\n\
-           --sizes s1,s2         per-dimension extents (default: {DEFAULT_SIZES});\n\
-                                 a 2D stencil at 1024 means 1024 x 1024\n\
-           --times t1,t2         time horizons (default: {DEFAULT_TIMES})\n\
-           --within F            candidate band fraction (default: 0.10 — must match\n\
-                                 the queries the server will see)\n\
-           --top-n N             candidates per answer (default: 10 — ditto)\n\
-           --samples N           Citer micro-benchmark samples (default: 16)\n\
-           --threads N           size the global rayon pool\n\
-           --calib PATH          apply a calibration store's corrections while\n\
-                                 sweeping; the answer store records its revision\n\n\
-         The store records the git revision (and calibration revision, if any)\n\
-         that computed it; serving under a different one requires\n\
-         --store-stale-ok.",
-        experiments::DEFAULT_OUT_DIR
-    );
-}
-
-/// Flags of the `calibrate` subcommand.
-struct CalibrateArgs {
-    log: String,
-    out: String,
-    min_evidence: u64,
-    merge: Option<String>,
-    freeze: bool,
-    inspect: Option<String>,
-    compare: Option<(String, String)>,
-}
-
-fn parse_calibrate_args(rest: impl Iterator<Item = String>) -> Result<CalibrateArgs, String> {
-    let mut args = CalibrateArgs {
-        log: format!("{}/accuracy_log.jsonl", experiments::DEFAULT_OUT_DIR),
-        out: format!("{}/calib_store.jsonl", experiments::DEFAULT_OUT_DIR),
-        min_evidence: calib::DEFAULT_MIN_EVIDENCE,
-        merge: None,
-        freeze: false,
-        inspect: None,
-        compare: None,
-    };
-    let mut it = rest;
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--log" => args.log = next("--log")?,
-            "--out" => args.out = next("--out")?,
-            "--min-evidence" => {
-                let v = next("--min-evidence")?;
-                args.min_evidence = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or(format!("invalid --min-evidence '{v}'"))?;
-            }
-            "--merge" => args.merge = Some(next("--merge")?),
-            "--freeze" => args.freeze = true,
-            "--inspect" => args.inspect = Some(next("--inspect")?),
-            "--compare" => {
-                let pre = next("--compare")?;
-                let post = next("--compare POST")?;
-                args.compare = Some((pre, post));
-            }
-            "--help" | "-h" => {
-                print_calibrate_help();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown calibrate argument '{other}' (try --help)")),
-        }
-    }
-    Ok(args)
-}
-
-fn print_calibrate_help() {
-    println!(
-        "Fit per-(device, stencil, dim) model corrections from the accuracy log\n\
-         that validated serving (and --bench-exec) appended, and write them to a\n\
-         calibration store for `experiments serve --calib` / `precompute --calib`.\n\n\
-         USAGE: experiments calibrate [FLAGS]\n\n\
-         Each accuracy row whose measured/predicted ratio and memory-bound\n\
-         attribution are usable feeds the segment's Citer factor (compute-bound\n\
-         rows) or memory-term factor (memory-bound rows). A factor is served\n\
-         only once it has at least --min-evidence pairs; under-evidenced\n\
-         segments leave the model untouched, bit for bit.\n\n\
-         FLAGS:\n\
-           --log PATH            accuracy log to fit from, .1 rollover included\n\
-                                 (default: {}/accuracy_log.jsonl)\n\
-           --out PATH            calibration store to write\n\
-                                 (default: {}/calib_store.jsonl)\n\
-           --min-evidence N      pairs before a factor is served (default: {})\n\
-           --merge PATH          fold an existing store's evidence into the fit\n\
-                                 (running sums add; the new gate wins)\n\
-           --freeze              mark the store frozen: later calibrate runs\n\
-                                 refuse to fold more evidence into it\n\
-           --inspect PATH        print a store's segments and factors, then exit\n\
-                                 (no fitting)\n\
-           --compare PRE POST    compare per-segment RMSE of two accuracy logs;\n\
-                                 exit 0 iff every shared segment improved or held\n\
-                                 and at least one segment is shared (no fitting)",
-        experiments::DEFAULT_OUT_DIR,
-        experiments::DEFAULT_OUT_DIR,
-        calib::DEFAULT_MIN_EVIDENCE
-    );
-}
-
 /// Run the `calibrate` subcommand; returns the process exit code.
-fn run_calibrate(rest: impl Iterator<Item = String>) -> i32 {
-    let args = match parse_calibrate_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if let Some(path) = &args.inspect {
+fn run_calibrate(argv: &[String]) -> Result<i32, Stop> {
+    let p = CALIBRATE.parse(argv)?;
+    let log = p
+        .path("--log")
+        .unwrap_or_else(|| format!("{DEFAULT_OUT_DIR}/accuracy_log.jsonl"));
+    let out = p
+        .path("--out")
+        .unwrap_or_else(|| format!("{DEFAULT_OUT_DIR}/calib_store.jsonl"));
+    let min_evidence = p
+        .count("--min-evidence")?
+        .map_or(calib::DEFAULT_MIN_EVIDENCE, |n| n as u64);
+    if let Some(path) = p.value("--inspect") {
         let store = match calib::CalibrationStore::load(std::path::Path::new(path)) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: {path}: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         println!(
@@ -789,9 +300,9 @@ fn run_calibrate(rest: impl Iterator<Item = String>) -> i32 {
                 },
             );
         }
-        return 0;
+        return Ok(0);
     }
-    if let Some((pre, post)) = &args.compare {
+    if let Some([pre, post]) = p.values("--compare") {
         let load = |p: &str| {
             calib::log_segment_rmse(std::path::Path::new(p)).unwrap_or_else(|e| {
                 eprintln!("error: {p}: {e}");
@@ -823,42 +334,42 @@ fn run_calibrate(rest: impl Iterator<Item = String>) -> i32 {
         }
         if shared == 0 {
             eprintln!("compare FAILED: the two logs share no segment");
-            return 1;
+            return Ok(1);
         }
         if regressed > 0 {
             eprintln!("compare FAILED: {regressed}/{shared} shared segments regressed");
-            return 1;
+            return Ok(1);
         }
         println!("compare passed: all {shared} shared segments improved or held");
-        return 0;
+        return Ok(0);
     }
-    let mut store = calib::CalibrationStore::new(args.min_evidence);
-    if let Some(path) = &args.merge {
+    let mut store = calib::CalibrationStore::new(min_evidence);
+    if let Some(path) = p.value("--merge") {
         let prior = match calib::CalibrationStore::load(std::path::Path::new(path)) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: --merge {path}: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         if let Err(e) = store.merge(&prior) {
             eprintln!("error: --merge {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     }
-    let stats = match store.consume_log(std::path::Path::new(&args.log)) {
+    let stats = match store.consume_log(std::path::Path::new(&log)) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("error: --log {}: {e}", args.log);
-            return 1;
+            eprintln!("error: --log {log}: {e}");
+            return Ok(1);
         }
     };
-    if args.freeze {
+    if p.has("--freeze") {
         store.freeze();
     }
-    if let Err(e) = store.save(std::path::Path::new(&args.out)) {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        return 1;
+    if let Err(e) = store.save(std::path::Path::new(&out)) {
+        eprintln!("error: cannot write {out}: {e}");
+        return Ok(1);
     }
     println!(
         "calibrated {} segments ({} active) from {} pairs ({} rejected) -> {}, revision {}{}",
@@ -866,7 +377,7 @@ fn run_calibrate(rest: impl Iterator<Item = String>) -> i32 {
         store.active_segments(),
         stats.consumed,
         stats.rejected,
-        args.out,
+        out,
         store.revision(),
         if store.frozen() { ", frozen" } else { "" }
     );
@@ -882,62 +393,52 @@ fn run_calibrate(rest: impl Iterator<Item = String>) -> i32 {
             if seg.mem.n >= gate { "" } else { ", gated" },
         );
     }
-    0
+    Ok(0)
 }
 
 /// Run the `precompute` subcommand; returns the process exit code.
-fn run_precompute(rest: impl Iterator<Item = String>) -> i32 {
-    let args = match parse_precompute_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if let Some(n) = args.threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
-    }
-    let queries = match advisor::grid_queries(
-        &args.devices,
-        &args.stencils,
-        &args.sizes,
-        &args.times,
-        args.within,
-        args.top_n,
-    ) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("error: invalid grid: {e}");
-            return 2;
-        }
-    };
+fn run_precompute(argv: &[String]) -> Result<i32, Stop> {
+    let p = PRECOMPUTE.parse(argv)?;
+    let out = p
+        .path("--out")
+        .unwrap_or_else(|| format!("{DEFAULT_OUT_DIR}/advisor_store.jsonl"));
+    let grid = flags::Grid::parse(&p)?;
+    let within = p.float("--within")?.unwrap_or(0.10);
+    let top_n = p.count("--top-n")?.unwrap_or(10);
+    flags::Threads::parse(&p)?.install();
+    let queries = advisor::grid_queries(
+        &grid.devices,
+        &grid.stencils,
+        &grid.sizes,
+        &grid.times,
+        within,
+        top_n,
+    )
+    .map_err(|e| format!("invalid grid: {e}"))?;
     println!(
         "precomputing {} answers ({} devices x {} stencils x {} sizes x {} times) ...",
         queries.len(),
-        args.devices.len(),
-        args.stencils.len(),
-        args.sizes.len(),
-        args.times.len()
+        grid.devices.len(),
+        grid.stencils.len(),
+        grid.sizes.len(),
+        grid.times.len()
     );
-    let calib = args.calib.as_ref().map(|path| {
-        let store = calib::CalibrationStore::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("error: --calib {path}: {e}");
-            std::process::exit(2);
+    let calib = p
+        .value("--calib")
+        .map(load_calib)
+        .transpose()?
+        .map(|store| {
+            println!(
+                "calibration store: {} segments ({} active), revision {}",
+                store.len(),
+                store.active_segments(),
+                store.revision()
+            );
+            Arc::new(store)
         });
-        println!(
-            "calibration store: {} segments ({} active), revision {}",
-            store.len(),
-            store.active_segments(),
-            store.revision()
-        );
-        Arc::new(store)
-    });
     let calib_rev = calib.as_ref().map(|c| c.revision());
     let advisor = advisor::Advisor::new(advisor::AdvisorConfig {
-        citer_samples: args.samples,
+        citer_samples: grid.samples,
         seed: experiments::SEED,
         disk_dir: None,
         mem_capacity: queries.len().max(1),
@@ -946,14 +447,14 @@ fn run_precompute(rest: impl Iterator<Item = String>) -> i32 {
     });
     let t0 = std::time::Instant::now();
     let mut store =
-        advisor::AnswerStore::empty(experiments::SEED, args.samples).with_calib_rev(calib_rev);
+        advisor::AnswerStore::empty(experiments::SEED, grid.samples).with_calib_rev(calib_rev);
     let added = store.precompute(&advisor, &queries);
     let elapsed = t0.elapsed().as_secs_f64();
-    let path = std::path::PathBuf::from(&args.out);
+    let path = std::path::PathBuf::from(&out);
     store.write(&path).expect("write answer store");
     println!(
         "{added} answers written to {} in {elapsed:.1}s ({:.1} sweeps/s), git_rev {}",
-        args.out,
+        out,
         added as f64 / elapsed.max(1e-9),
         store.git_rev()
     );
@@ -963,72 +464,63 @@ fn run_precompute(rest: impl Iterator<Item = String>) -> i32 {
             queries.len() - added
         );
     }
-    0
+    Ok(0)
 }
 
 /// Run the `serve` subcommand; returns the process exit code.
-fn run_serve(rest: impl Iterator<Item = String>) -> i32 {
-    let args = match parse_serve_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+fn run_serve(argv: &[String]) -> Result<i32, Stop> {
+    let p = SERVE.parse(argv)?;
+    let cache_dir = if p.position("--no-disk-cache") > p.position("--cache-dir") {
+        None
+    } else {
+        Some(
+            p.path("--cache-dir")
+                .unwrap_or_else(|| format!("{DEFAULT_OUT_DIR}/advisor_cache")),
+        )
     };
-    if let Some(n) = args.threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
-    }
-    // The sharded recorder is always installed: it feeds the flight
-    // recorder and the accuracy/drift telemetry even when no export
-    // flag was given.
-    let recorder = Arc::new(obs::ShardedRecorder::new(args.log_level));
-    obs::install(recorder.clone());
-    obs::flight::install_panic_hook(std::path::PathBuf::from(experiments::DEFAULT_OUT_DIR));
-    let emitter = args.metrics_out.as_ref().map(|path| {
-        let rec = recorder.clone();
-        obs::MetricsEmitter::start(
-            path.into(),
-            std::time::Duration::from_millis(args.metrics_interval_ms),
-            Box::new(move || rec.snapshot()),
-        )
-        .expect("start --metrics-out emitter")
-    });
+    let mem_cap = p.count("--mem-cap")?.unwrap_or(256);
+    let samples = flags::samples(&p)?;
+    let server_config = flags::server_config(&p)?;
+    let accuracy_log = p
+        .path("--accuracy-log")
+        .unwrap_or_else(|| format!("{DEFAULT_OUT_DIR}/accuracy_log.jsonl"));
+    let log_out = p.path("--log-out");
+    let telemetry = flags::Telemetry::parse(&p)?;
+    flags::Threads::parse(&p)?.install();
+    // The recorder also feeds the accuracy/drift telemetry.
+    let telemetry = telemetry.start(DEFAULT_OUT_DIR);
     let accuracy =
-        Arc::new(obs::AccuracyLog::open(&args.accuracy_log).expect("open --accuracy-log file"));
-    let calib = args.calib.as_ref().map(|path| {
-        let store = calib::CalibrationStore::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("error: --calib {path}: {e}");
-            std::process::exit(2);
-        });
-        obs::gauge("calib.segments_active", store.active_segments() as f64);
-        eprintln!(
-            "calibration store: {} segments ({} active) from {path}, revision {}",
-            store.len(),
-            store.active_segments(),
-            store.revision()
-        );
-        Arc::new(store)
-    });
+        Arc::new(obs::AccuracyLog::open(&accuracy_log).expect("open --accuracy-log file"));
+    let calib = match p.value("--calib") {
+        Some(path) => {
+            let store = load_calib(path)?;
+            obs::gauge("calib.segments_active", store.active_segments() as f64);
+            eprintln!(
+                "calibration store: {} segments ({} active) from {path}, revision {}",
+                store.len(),
+                store.active_segments(),
+                store.revision()
+            );
+            Some(Arc::new(store))
+        }
+        None => None,
+    };
     let calib_rev = calib.as_ref().map(|c| c.revision());
-    let store = args.store.as_ref().map(|path| {
-        let store = advisor::AnswerStore::load(
-            std::path::Path::new(path),
-            args.store_stale_ok,
-            calib_rev.as_deref(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        eprintln!(
-            "answer store: {} precomputed answers from {path}",
-            store.len()
-        );
-        Arc::new(store)
-    });
+    let store = match p.value("--store") {
+        Some(path) => {
+            let store = advisor::AnswerStore::load(
+                std::path::Path::new(path),
+                p.has("--store-stale-ok"),
+                calib_rev.as_deref(),
+            )?;
+            eprintln!(
+                "answer store: {} precomputed answers from {path}",
+                store.len()
+            );
+            Some(Arc::new(store))
+        }
+        None => None,
+    };
     // Fault injection for tests and the CI calibration smoke job: bias
     // the advisor's view of the measured Citer so the closed loop has a
     // real model error to remove (mirrors HHC_ROOFLINE_BAND's style).
@@ -1047,36 +539,29 @@ fn run_serve(rest: impl Iterator<Item = String>) -> i32 {
         eprintln!("fault injection: Citer biased by x{citer_scale} (HHC_CITER_SCALE)");
     }
     let advisor = advisor::Advisor::new(advisor::AdvisorConfig {
-        mem_capacity: args.mem_cap,
-        disk_dir: args.cache_dir.as_ref().map(Into::into),
-        citer_samples: args.samples,
+        mem_capacity: mem_cap,
+        disk_dir: cache_dir.map(Into::into),
+        citer_samples: samples,
         accuracy: Some(accuracy),
         store,
         calib,
         citer_scale,
         ..advisor::AdvisorConfig::default()
     });
-    if let Some(addr) = &args.listen {
+    if let Some(addr) = p.value("--listen") {
         // Socket mode: serve until killed. The one-shot exporters below
         // never run; --metrics-out keeps streaming periodically.
-        let listener = match std::net::TcpListener::bind(addr) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error: cannot listen on {addr}: {e}");
-                return 2;
-            }
-        };
-        let server = advisor::Server::start(Arc::new(advisor), listener, args.server.clone())
+        let listener = std::net::TcpListener::bind(addr)
+            .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+        let workers = server_config.workers;
+        let server = advisor::Server::start(Arc::new(advisor), listener, server_config)
             .expect("start server");
         let bound = server.addr();
-        if let Some(path) = &args.port_file {
+        if let Some(path) = p.value("--port-file") {
             std::fs::write(path, format!("{}\n", bound.port())).expect("write --port-file");
         }
-        eprintln!(
-            "advisor listening on {bound} ({} workers)",
-            args.server.workers
-        );
-        if args.log_out.is_some() {
+        eprintln!("advisor listening on {bound} ({workers} workers)");
+        if log_out.is_some() {
             eprintln!(
                 "note: --log-out writes once at end of run and socket mode never ends; \
                  use --metrics-out for periodic snapshots"
@@ -1088,15 +573,10 @@ fn run_serve(rest: impl Iterator<Item = String>) -> i32 {
     }
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    let served = match &args.queries {
+    let served = match p.value("--queries") {
         Some(path) => {
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("error: cannot open --queries {path}: {e}");
-                    return 2;
-                }
-            };
+            let file = std::fs::File::open(path)
+                .map_err(|e| format!("cannot open --queries {path}: {e}"))?;
             advisor::serve_lines(&advisor, std::io::BufReader::new(file), &mut out)
         }
         None => advisor::serve_lines(&advisor, std::io::stdin().lock(), &mut out),
@@ -1106,87 +586,72 @@ fn run_serve(rest: impl Iterator<Item = String>) -> i32 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: serve I/O failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
-    if let Some(em) = emitter {
-        em.stop();
-    }
-    obs::uninstall();
+    let recorder = telemetry.stop();
     let snap = recorder.snapshot();
     if snap.counter("advisor.degraded") > 0 {
-        match obs::flight::dump(
-            std::path::Path::new(experiments::DEFAULT_OUT_DIR),
-            "advisor_degraded",
-        ) {
+        match obs::flight::dump(std::path::Path::new(DEFAULT_OUT_DIR), "advisor_degraded") {
             Ok(Some(path)) => eprintln!("flight recorder dumped to {}", path.display()),
             Ok(None) => {}
             Err(e) => eprintln!("flight recorder dump failed: {e}"),
         }
     }
-    if let Some(path) = &args.log_out {
-        let file = std::fs::File::create(path).expect("create --log-out file");
-        let mut w = std::io::BufWriter::new(file);
-        recorder.write_jsonl(&mut w).expect("write --log-out file");
-        w.flush().expect("flush --log-out file");
+    if let Some(path) = &log_out {
+        flags::write_log(&recorder, path);
     }
     eprintln!(
         "served {} answers ({} parse errors)",
         stats.answered, stats.errors
     );
-    if stats.errors > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(if stats.errors > 0 { 1 } else { 0 })
 }
 
 fn main() {
-    let mut argv = std::env::args().skip(1).peekable();
-    if argv.peek().map(String::as_str) == Some("serve") {
-        argv.next();
-        std::process::exit(run_serve(argv));
+    let argv = flags::argv();
+    flags::exit(match argv.first().map(String::as_str) {
+        Some("serve") => run_serve(&argv[1..]),
+        Some("precompute") => run_precompute(&argv[1..]),
+        Some("calibrate") => run_calibrate(&argv[1..]),
+        _ => run_driver(&argv),
+    })
+}
+
+/// Run the table and figure driver; returns the process exit code.
+fn run_driver(argv: &[String]) -> Result<i32, Stop> {
+    let p = DRIVER.parse(argv)?;
+    let all = p.has("--all");
+    let paper_item = |name| all || p.has(name);
+    let check_roofline = p.has("--check-roofline");
+    let experiment_scale = p
+        .parse_with("--scale", "paper|reduced|smoke", ExperimentScale::parse)?
+        .unwrap_or(ExperimentScale::Paper);
+    let dims = p
+        .parse_with("--dims", "1d|2d|3d|all|all+1d", |v| match v {
+            "1d" => Some(vec![StencilDim::D1]),
+            "2d" => Some(vec![StencilDim::D2]),
+            "3d" => Some(vec![StencilDim::D3]),
+            "all" => Some(vec![StencilDim::D2, StencilDim::D3]),
+            "all+1d" => Some(vec![StencilDim::D1, StencilDim::D2, StencilDim::D3]),
+            _ => None,
+        })?
+        .unwrap_or_else(|| vec![StencilDim::D2, StencilDim::D3]);
+    let out = p
+        .path("--out")
+        .unwrap_or_else(|| DEFAULT_OUT_DIR.to_string());
+    let trace_out = p.path("--trace-out");
+    let log_out = p.path("--log-out");
+    let threads = flags::Threads::parse(&p)?;
+    let telemetry = flags::Telemetry::parse(&p)?;
+    if !p.has_any(EXPERIMENTS) {
+        return Err(Stop::Help(DRIVER.help()));
     }
-    if argv.peek().map(String::as_str) == Some("precompute") {
-        argv.next();
-        std::process::exit(run_precompute(argv));
-    }
-    if argv.peek().map(String::as_str) == Some("calibrate") {
-        argv.next();
-        std::process::exit(run_calibrate(argv));
-    }
-    drop(argv);
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(n) = args.threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
-    }
-    // Telemetry: the sharded recorder is always installed — it arms the
-    // flight recorder (crash dumps) and keeps hot-path cost to striped
-    // relaxed atomics — but files are only written for the flags given.
-    let recorder = Arc::new(obs::ShardedRecorder::new(args.log_level));
-    obs::install(recorder.clone());
-    obs::flight::install_panic_hook(std::path::PathBuf::from(&args.out));
-    let emitter = args.metrics_out.as_ref().map(|path| {
-        let rec = recorder.clone();
-        obs::MetricsEmitter::start(
-            path.into(),
-            std::time::Duration::from_millis(args.metrics_interval_ms),
-            Box::new(move || rec.snapshot()),
-        )
-        .expect("start --metrics-out emitter")
-    });
-    let lab = Lab::new(args.scale);
-    let mut results = Results::new(&args.out).expect("create output directory");
-    let scale = args.scale.label();
+    threads.install();
+    let telemetry = telemetry.start(&out);
+    let lab = Lab::new(experiment_scale);
+    let mut results = Results::new(&out).expect("create output directory");
+    let scale = experiment_scale.label();
     let manifest = RunManifest::collect(scale);
     obs::event(
         obs::Level::Info,
@@ -1201,7 +666,7 @@ fn main() {
     results.set_manifest(manifest);
     let mut sim_payload: Option<SimTracePayload> = None;
 
-    if args.bench_exec {
+    if check_roofline || p.has("--bench-exec") {
         let _phase = obs::span("phase.bench_exec", "driver");
         println!(
             "\n=== Executor benchmark: rolling window + row kernels vs seed baseline (scale: {scale}, {} threads) ===",
@@ -1219,9 +684,8 @@ fn main() {
         {
             let (lo, hi) = report.roofline.ratio_band;
             let band = (lo - 1.0).abs().max((hi - 1.0).abs());
-            let acc =
-                obs::AccuracyLog::open(std::path::Path::new(&args.out).join("accuracy_log.jsonl"))
-                    .expect("open accuracy log");
+            let acc = obs::AccuracyLog::open(std::path::Path::new(&out).join("accuracy_log.jsonl"))
+                .expect("open accuracy log");
             for row in &report.exec {
                 let dim = StencilKind::ALL
                     .iter()
@@ -1247,7 +711,7 @@ fn main() {
                 );
             }
         }
-        if args.check_roofline {
+        if check_roofline {
             let (lo, hi) = report.roofline.ratio_band;
             for row in &report.exec {
                 let ok = row.roofline_ratio >= lo && row.roofline_ratio <= hi;
@@ -1260,7 +724,7 @@ fn main() {
             }
             if !report.roofline.all_within_band {
                 eprintln!("roofline check FAILED: executor throughput left the predicted band");
-                match obs::flight::dump(std::path::Path::new(&args.out), "roofline_out_of_band") {
+                match obs::flight::dump(std::path::Path::new(&out), "roofline_out_of_band") {
                     Ok(Some(path)) => eprintln!("flight recorder dumped to {}", path.display()),
                     Ok(None) => {}
                     Err(e) => eprintln!("flight recorder dump failed: {e}"),
@@ -1271,7 +735,7 @@ fn main() {
         }
     }
 
-    if args.table2 {
+    if paper_item("--table2") {
         let _phase = obs::span("phase.table2", "driver");
         let rows = tables::table2(&lab);
         println!("\n=== Table 2: GPU configurations ===");
@@ -1284,7 +748,7 @@ fn main() {
         results.write_json("table2", &rows).expect("write table2");
     }
 
-    if args.table3 {
+    if paper_item("--table3") {
         let _phase = obs::span("phase.table3", "driver");
         let rows = tables::table3(&lab);
         println!("\n=== Table 3: measured timing parameters (paper: L=7.36e-3/5.42e-3 s/GB, tau=7.96e-10/6.74e-10 s, Tsync=9.24e-7/9.00e-7 s) ===");
@@ -1297,7 +761,7 @@ fn main() {
         results.write_json("table3", &rows).expect("write table3");
     }
 
-    if args.table4 {
+    if paper_item("--table4") {
         let _phase = obs::span("phase.table4", "driver");
         let rows = tables::table4(&lab);
         println!("\n=== Table 4: measured Citer (seconds) ===");
@@ -1313,10 +777,10 @@ fn main() {
         results.write_json("table4", &rows).expect("write table4");
     }
 
-    if args.fig3 {
+    if paper_item("--fig3") {
         let _phase = obs::span("phase.fig3", "driver");
         println!("\n=== Figure 3 / Section 5.3: model validation (scale: {scale}) ===");
-        let (rows, pooled) = figures::figure3(&lab, &args.dims);
+        let (rows, pooled) = figures::figure3(&lab, &dims);
         let mut worst_top = 0.0f64;
         let mut all_range = (f64::INFINITY, 0.0f64);
         for r in &rows {
@@ -1379,7 +843,7 @@ fn main() {
             .expect("write fig3 scatter");
     }
 
-    if args.fig4 {
+    if paper_item("--fig4") {
         let _phase = obs::span("phase.fig4", "driver");
         println!("\n=== Figure 4: Talg surface, Heat2D, GTX 980, tS1 = 8 (scale: {scale}) ===");
         let r = figures::figure4(&lab);
@@ -1414,7 +878,7 @@ fn main() {
             .expect("write fig4 surface");
     }
 
-    if args.fig5 {
+    if paper_item("--fig5") {
         let _phase = obs::span("phase.fig5", "driver");
         println!("\n=== Figure 5: Gradient2D candidate scatter (scale: {scale}) ===");
         let r = figures::figure5(&lab);
@@ -1431,12 +895,12 @@ fn main() {
             .expect("write fig5");
     }
 
-    if args.fig6 {
+    if paper_item("--fig6") {
         let _phase = obs::span("phase.fig6", "driver");
         println!(
             "\n=== Figure 6: average GFLOPS by tile-size selection strategy (scale: {scale}) ==="
         );
-        let (rows, details) = figures::figure6(&lab, args.exhaustive);
+        let (rows, details) = figures::figure6(&lab, p.has("--exhaustive"));
         for r in &rows {
             let strategies: Vec<String> = r
                 .gflops
@@ -1453,7 +917,7 @@ fn main() {
                 100.0 * r.within_vs_hhc
             );
         }
-        if args.trace_out.is_some() {
+        if trace_out.is_some() {
             sim_payload = fig6_sim_payload(&lab, &details);
         }
         results
@@ -1464,7 +928,7 @@ fn main() {
             .expect("write fig6 details");
     }
 
-    if args.zoo {
+    if p.has("--zoo") {
         let _phase = obs::span("phase.zoo", "driver");
         println!(
             "\n=== Stencil zoo: non-paper descriptors through the full pipeline (scale: {scale}) ==="
@@ -1564,7 +1028,7 @@ fn main() {
         );
     }
 
-    if args.ablation {
+    if p.has("--ablation") {
         let _phase = obs::span("phase.ablation", "driver");
         println!("\n=== Ablation: printed vs tail-aware model (top-20% RMSE) ===");
         let rows = experiments::extensions::model_variant_ablation(&lab);
@@ -1597,7 +1061,7 @@ fn main() {
             .expect("write machine ablation");
     }
 
-    if args.solver {
+    if p.has("--solver") {
         let _phase = obs::span("phase.solver", "driver");
         println!("\n=== Section 6.1: heuristic solvers vs exhaustive model sweep ===");
         let rows = experiments::extensions::solver_comparison(&lab);
@@ -1619,7 +1083,7 @@ fn main() {
             .expect("write solver");
     }
 
-    if args.wavefront {
+    if p.has("--compare-wavefront") {
         let _phase = obs::span("phase.wavefront", "driver");
         println!(
             "\n=== Time tiling vs classic wavefront-parallel (both tuned, on the machine) ==="
@@ -1644,14 +1108,8 @@ fn main() {
             .expect("write wavefront");
     }
 
-    // Exporters: stop the periodic emitter (it writes its final line)
-    // and detach the recorder first so the export itself is not still
-    // appending to the store it snapshots.
-    if let Some(em) = emitter {
-        em.stop();
-    }
-    obs::uninstall();
-    if let Some(path) = &args.trace_out {
+    let recorder = telemetry.stop();
+    if let Some(path) = &trace_out {
         let mut trace = obs::chrome::ChromeTrace::new();
         trace.name_process(0, "experiments driver");
         trace.add_spans(0, &recorder.snapshot().spans);
@@ -1674,11 +1132,8 @@ fn main() {
             trace.len()
         );
     }
-    if let Some(path) = &args.log_out {
-        let file = std::fs::File::create(path).expect("create --log-out file");
-        let mut w = std::io::BufWriter::new(file);
-        recorder.write_jsonl(&mut w).expect("write --log-out file");
-        w.flush().expect("flush --log-out file");
+    if let Some(path) = &log_out {
+        flags::write_log(&recorder, path);
         let snap = recorder.snapshot();
         println!(
             "telemetry log written to {path} ({} events, {} spans, {} counters)",
@@ -1689,4 +1144,27 @@ fn main() {
     }
 
     println!("\nresults written to {}/", results.dir().display());
+    Ok(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_lists_every_flag() {
+        for cmd in [&DRIVER, &SERVE, &PRECOMPUTE, &CALIBRATE] {
+            let help = cmd.help();
+            for (name, ..) in cmd.rows() {
+                assert!(
+                    help.lines()
+                        .any(|l| l.split_whitespace().next() == Some(name)),
+                    "{name} missing from the help of `{}`",
+                    cmd.usage
+                );
+            }
+        }
+        let default = format!("(default: {})", calib::DEFAULT_MIN_EVIDENCE);
+        assert!(CALIBRATE.help().contains(&default));
+    }
 }

@@ -3,8 +3,7 @@
 use std::io::Write;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match hhc_stencil::cli::run(&args) {
+    match hhc_stencil::cli::run(&experiments::flags::argv()) {
         Ok(out) => {
             // Tolerate a closed stdout (e.g. piping into `head`).
             let _ = writeln!(std::io::stdout(), "{out}");

@@ -8,29 +8,18 @@
 //! stencil-tune tune     --stencil gradient2d --size 4096x4096xT4096 [--device titanx]
 //! ```
 //!
-//! The parsing and command logic live here (unit-tested); the binary in
+//! `stencil-tune COMMAND --help` lists every flag of a command. The
+//! parsing and command logic live here (unit-tested); the binary in
 //! `src/bin/stencil-tune.rs` is a thin shell.
 
+use experiments::flags::{Command, Flag, Parsed, Stop};
+use experiments::servebench::{parse_devices, parse_stencils, parse_usizes};
 use gpu_sim::{simulate, DeviceConfig, SimWorkload, Workload};
 use hhc_tiling::{analyze, LaunchConfig, TileSizes, TilingPlan};
-use stencil_core::{reference, ProblemSize, StencilDescriptor, StencilDim};
+use stencil_core::{reference, ProblemSize, StencilDim};
 use tile_opt::strategy::{empirical_launch, DataPoint};
 use tile_opt::{feasible_space, model_sweep, talg_min, within_fraction, SpaceConfig};
 use time_model::{predict, ModelParams};
-
-/// Parse a stencil name (case-insensitive, e.g. `jacobi2d`).
-pub fn parse_stencil(name: &str) -> Result<StencilDescriptor, String> {
-    StencilDescriptor::from_name(name).ok_or_else(|| {
-        let names: Vec<_> = StencilDescriptor::named()
-            .into_iter()
-            .map(|d| d.name)
-            .collect();
-        format!(
-            "unknown stencil '{name}' (expected one of {})",
-            names.join(", ")
-        )
-    })
-}
 
 /// Parse a problem size like `4096x4096xT1024` (the `T` marker is
 /// optional: the last extent is the time dimension).
@@ -58,14 +47,7 @@ pub fn parse_size(s: &str, dim: StencilDim) -> Result<ProblemSize, String> {
 
 /// Parse tile sizes like `8,16,128` (`t_T` first, then the space extents).
 pub fn parse_tiles(s: &str, dim: StencilDim) -> Result<TileSizes, String> {
-    let vals: Vec<usize> = s
-        .split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad tile extent '{p}'"))
-        })
-        .collect::<Result<_, _>>()?;
+    let vals = parse_usizes(s, "tile")?;
     let rank = dim.rank();
     if vals.len() != rank + 1 {
         return Err(format!(
@@ -81,14 +63,7 @@ pub fn parse_tiles(s: &str, dim: StencilDim) -> Result<TileSizes, String> {
 
 /// Parse a thread shape like `1,128`.
 pub fn parse_threads(s: &str, dim: StencilDim) -> Result<LaunchConfig, String> {
-    let vals: Vec<usize> = s
-        .split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad thread extent '{p}'"))
-        })
-        .collect::<Result<_, _>>()?;
+    let vals = parse_usizes(s, "thread")?;
     let rank = dim.rank();
     if vals.len() != rank {
         return Err(format!(
@@ -100,17 +75,6 @@ pub fn parse_threads(s: &str, dim: StencilDim) -> Result<LaunchConfig, String> {
     Ok(launch)
 }
 
-/// Parse a device name (`gtx980` / `titanx`, plus the registry's
-/// spelling variants) via the [`DeviceConfig::preset`] registry.
-pub fn parse_device(name: &str) -> Result<DeviceConfig, String> {
-    DeviceConfig::preset(name).ok_or_else(|| {
-        format!(
-            "unknown device '{name}' (known: {})",
-            DeviceConfig::preset_names().join(", ")
-        )
-    })
-}
-
 /// Shared flag set of all subcommands: the (device, stencil, size)
 /// workload every command operates on, plus presentation-only knobs.
 pub struct CommonArgs {
@@ -120,44 +84,23 @@ pub struct CommonArgs {
     pub samples: usize,
 }
 
-/// Parse `--key value` style flags from an argument list; returns the
-/// map and rejects unknown keys.
-pub fn parse_flags<'a>(
-    args: &'a [String],
-    allowed: &[&str],
-) -> Result<std::collections::BTreeMap<String, &'a str>, String> {
-    let mut map = std::collections::BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = a
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a --flag, got '{a}'"))?;
-        if !allowed.contains(&key) {
-            return Err(format!(
-                "unknown flag '--{key}' (allowed: {})",
-                allowed.join(", ")
-            ));
-        }
-        let val = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        map.insert(key.to_string(), val.as_str());
-    }
-    Ok(map)
+/// The one entry of a name list that must name exactly one thing.
+fn single<T>(flag: &str, list: Vec<T>) -> Result<T, String> {
+    let [one] = <[T; 1]>::try_from(list).map_err(|_| format!("{flag} takes a single name"))?;
+    Ok(one)
 }
 
 /// Build the common arguments from parsed flags.
-pub fn common_args(flags: &std::collections::BTreeMap<String, &str>) -> Result<CommonArgs, String> {
-    let stencil = parse_stencil(flags.get("stencil").ok_or("--stencil is required")?)?;
-    let dim = stencil.dim;
-    let size = parse_size(flags.get("size").ok_or("--size is required")?, dim)?;
-    let device = flags
-        .get("device")
-        .map_or(Ok(DeviceConfig::gtx980()), |d| parse_device(d))?;
-    let samples = flags.get("samples").map_or(Ok(20usize), |s| {
-        s.parse().map_err(|_| "bad --samples".to_string())
-    })?;
+pub fn common_args(p: &Parsed) -> Result<CommonArgs, String> {
+    let stencil = single("--stencil", parse_stencils(p.required("--stencil")?)?)?;
+    let size = parse_size(p.required("--size")?, stencil.dim)?;
+    let device = match p.value("--device") {
+        Some(name) => single("--device", parse_devices(name)?)?,
+        None => DeviceConfig::gtx980(),
+    };
     Ok(CommonArgs {
         workload: Workload::new(device, stencil, size)?,
-        samples,
+        samples: p.count("--samples")?.unwrap_or(20),
     })
 }
 
@@ -377,106 +320,118 @@ pub fn cmd_trace(
     Ok(out)
 }
 
+/// The workload flags of every subcommand.
+#[rustfmt::skip]
+const WORKLOAD: &[Flag] = &[
+    ("--stencil", "K", "jacobi1d|jacobi2d|heat2d|laplacian2d|gradient2d|\n\
+                        jacobi3d|heat3d|laplacian3d, or any other named stencil"),
+    ("--size", "S", "extents like 4096x4096xT1024 (space dims, then time)"),
+    ("--device", "D", "gtx980 (default) or titanx"),
+    ("--samples", "N", "Citer micro-benchmark samples (default: 20)"),
+];
+const TILE: Flag = (
+    "--tile",
+    "T",
+    "tile sizes like 8,16,128 (t_T first, then t_S1..)",
+);
+const TILE2: Flag = ("--tile2", "T", "the tile sizes to compare with --tile");
+const THREADS: Flag = (
+    "--threads",
+    "N",
+    "thread shape like 1,128 (default: from the tile)",
+);
+const KERNEL: Flag = ("--kernel", "I", "kernel index (default: 1)");
+
+/// The subcommands, in usage order.
+#[rustfmt::skip]
+static COMMANDS: [(&str, Command); 7] = [
+    ("predict", Command::new(
+        "stencil-tune predict --stencil K --size S --tile T [FLAGS]",
+        "Evaluate the analytical model for one tile size.",
+        &[WORKLOAD, &[TILE]],
+    )),
+    ("simulate", Command::new(
+        "stencil-tune simulate --stencil K --size S --tile T [FLAGS]",
+        "Run one configuration on the simulated machine.",
+        &[WORKLOAD, &[TILE, THREADS]],
+    )),
+    ("analyze", Command::new(
+        "stencil-tune analyze --stencil K --size S --tile T [FLAGS]",
+        "Print the tiling plan statistics for one tile size.",
+        &[WORKLOAD, &[TILE]],
+    )),
+    ("tune", Command::new(
+        "stencil-tune tune --stencil K --size S [FLAGS]",
+        "Sweep the model, run the within-10% candidates, report the best.",
+        &[WORKLOAD],
+    )),
+    ("params", Command::new(
+        "stencil-tune params --stencil K --size S [FLAGS]",
+        "Print the measured model parameters (Tables 3 and 4).",
+        &[WORKLOAD],
+    )),
+    ("compare", Command::new(
+        "stencil-tune compare --stencil K --size S --tile T --tile2 T [FLAGS]",
+        "Predict and simulate two tile sizes side by side.",
+        &[WORKLOAD, &[TILE, TILE2]],
+    )),
+    ("trace", Command::new(
+        "stencil-tune trace --stencil K --size S --tile T [FLAGS]",
+        "Render the two-pipe schedule of one kernel as per-SM lanes.",
+        &[WORKLOAD, &[TILE, THREADS, KERNEL]],
+    )),
+];
+
 /// Top-level usage text.
-pub const USAGE: &str =
-    "stencil-tune — analytical time modeling and tile-size selection for GPGPU stencils
-
-USAGE:
-  stencil-tune predict  --stencil K --size S --tile T [--device D] [--samples N]
-  stencil-tune simulate --stencil K --size S --tile T --threads N [--device D]
-  stencil-tune analyze  --stencil K --size S --tile T [--device D]
-  stencil-tune tune     --stencil K --size S [--device D] [--samples N]
-  stencil-tune params   --stencil K --size S [--device D] [--samples N]
-  stencil-tune compare  --stencil K --size S --tile T --tile2 T [--device D]
-  stencil-tune trace    --stencil K --size S --tile T [--threads N] [--kernel I] [--device D]
-
-  K: jacobi1d|jacobi2d|heat2d|laplacian2d|gradient2d|jacobi3d|heat3d|laplacian3d
-  S: extents like 4096x4096xT1024 (space dims, then time)
-  T: tile sizes like 8,16,128 (t_T first, then t_S1..)
-  N: thread shape like 1,128
-  D: gtx980 (default) or titanx";
+pub fn usage() -> String {
+    let mut out = String::from(
+        "stencil-tune — analytical time modeling and tile-size selection for GPGPU stencils\n\n\
+         USAGE:\n",
+    );
+    for (_, cmd) in &COMMANDS {
+        out += &format!("  {}\n", cmd.usage);
+    }
+    out + "\nRun `stencil-tune COMMAND --help` for the flags of a command."
+}
 
 /// Run the CLI against an argument vector; returns the output text.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let Some(cmd) = args.first() else {
-        return Ok(USAGE.to_string());
+    let Some(name) = args.first() else {
+        return Ok(usage());
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "predict" => {
-            let flags = parse_flags(rest, &["stencil", "size", "tile", "device", "samples"])?;
-            let c = common_args(&flags)?;
-            let tiles = parse_tiles(
-                flags.get("tile").ok_or("--tile is required")?,
-                c.workload.dim(),
-            )?;
-            cmd_predict(&c, tiles)
-        }
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
+    }
+    let Some((_, cmd)) = COMMANDS.iter().find(|(n, _)| n == name) else {
+        return Err(format!("unknown command '{name}'\n\n{}", usage()));
+    };
+    let p = match cmd.parse(&args[1..]) {
+        Ok(p) => p,
+        Err(Stop::Help(help)) => return Ok(help),
+        Err(Stop::Fail(e)) => return Err(e),
+    };
+    let c = common_args(&p)?;
+    let dim = c.workload.dim();
+    let tiles = |flag| parse_tiles(p.required(flag)?, dim);
+    let launch = |tiles: &TileSizes| match p.value("--threads") {
+        Some(t) => parse_threads(t, dim),
+        None => Ok(empirical_launch(dim, tiles)),
+    };
+    match name.as_str() {
+        "predict" => cmd_predict(&c, tiles("--tile")?),
         "simulate" => {
-            let flags = parse_flags(
-                rest,
-                &["stencil", "size", "tile", "threads", "device", "samples"],
-            )?;
-            let c = common_args(&flags)?;
-            let dim = c.workload.dim();
-            let tiles = parse_tiles(flags.get("tile").ok_or("--tile is required")?, dim)?;
-            let launch = match flags.get("threads") {
-                Some(t) => parse_threads(t, dim)?,
-                None => empirical_launch(dim, &tiles),
-            };
-            cmd_simulate(&c, tiles, launch)
+            let t = tiles("--tile")?;
+            cmd_simulate(&c, t, launch(&t)?)
         }
-        "analyze" => {
-            let flags = parse_flags(rest, &["stencil", "size", "tile", "device", "samples"])?;
-            let c = common_args(&flags)?;
-            let tiles = parse_tiles(
-                flags.get("tile").ok_or("--tile is required")?,
-                c.workload.dim(),
-            )?;
-            cmd_analyze(&c, tiles)
+        "analyze" => cmd_analyze(&c, tiles("--tile")?),
+        "tune" => cmd_tune(&c),
+        "params" => cmd_params(&c),
+        "compare" => cmd_compare(&c, tiles("--tile")?, tiles("--tile2")?),
+        _ => {
+            let t = tiles("--tile")?;
+            let kernel = p.u64("--kernel")?.map_or(1, |k| k as usize);
+            cmd_trace(&c, t, launch(&t)?, kernel)
         }
-        "tune" => {
-            let flags = parse_flags(rest, &["stencil", "size", "device", "samples"])?;
-            let c = common_args(&flags)?;
-            cmd_tune(&c)
-        }
-        "trace" => {
-            let flags = parse_flags(
-                rest,
-                &[
-                    "stencil", "size", "tile", "threads", "kernel", "device", "samples",
-                ],
-            )?;
-            let c = common_args(&flags)?;
-            let dim = c.workload.dim();
-            let tiles = parse_tiles(flags.get("tile").ok_or("--tile is required")?, dim)?;
-            let launch = match flags.get("threads") {
-                Some(t) => parse_threads(t, dim)?,
-                None => empirical_launch(dim, &tiles),
-            };
-            let kernel = flags.get("kernel").map_or(Ok(1usize), |k| {
-                k.parse().map_err(|_| "bad --kernel".to_string())
-            })?;
-            cmd_trace(&c, tiles, launch, kernel)
-        }
-        "params" => {
-            let flags = parse_flags(rest, &["stencil", "size", "device", "samples"])?;
-            let c = common_args(&flags)?;
-            cmd_params(&c)
-        }
-        "compare" => {
-            let flags = parse_flags(
-                rest,
-                &["stencil", "size", "tile", "tile2", "device", "samples"],
-            )?;
-            let c = common_args(&flags)?;
-            let dim = c.workload.dim();
-            let a = parse_tiles(flags.get("tile").ok_or("--tile is required")?, dim)?;
-            let b = parse_tiles(flags.get("tile2").ok_or("--tile2 is required")?, dim)?;
-            cmd_compare(&c, a, b)
-        }
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
     }
 }
 
@@ -508,16 +463,32 @@ mod tests {
         assert!(parse_tiles("7,16,128", StencilDim::D2).is_err()); // odd t_T
         assert!(parse_tiles("8,16", StencilDim::D2).is_err());
         assert!(parse_threads("1,128,1", StencilDim::D2).is_err());
-        assert!(parse_stencil("jacobi4d").is_err());
-        assert!(parse_device("voodoo2").is_err());
+        assert!(parse_stencils("jacobi4d").is_err());
+        assert!(parse_devices("voodoo2").is_err());
+        let params = |extra: &[&str]| {
+            let mut args = sv(&["params", "--stencil", "heat2d", "--size", "512x512xT64"]);
+            args.extend(sv(extra));
+            run(&args)
+        };
+        assert!(params(&["--stencil", "heat2d,jacobi2d"]).is_err());
+        assert!(params(&["--device", "gtx980,titanx"]).is_err());
+        assert_eq!(
+            params(&["--samples", "0"]).unwrap_err(),
+            "invalid --samples '0' (expected an integer >= 1)"
+        );
     }
 
     #[test]
     fn flag_parser_rejects_unknown() {
-        let args = sv(&["--stencil", "jacobi2d", "--frobnicate", "yes"]);
-        assert!(parse_flags(&args, &["stencil"]).is_err());
-        let args = sv(&["--stencil"]);
-        assert!(parse_flags(&args, &["stencil"]).is_err());
+        let args = sv(&["tune", "--stencil", "jacobi2d", "--frobnicate", "yes"]);
+        assert_eq!(
+            run(&args).unwrap_err(),
+            "unknown flag '--frobnicate' (try --help)"
+        );
+        assert!(run(&sv(&["tune", "--stencil"])).is_err());
+        // --threads (a thread shape) belongs to simulate and trace only.
+        let args = sv(&["tune", "--stencil", "jacobi2d", "--threads", "1,128"]);
+        assert!(run(&args).is_err());
     }
 
     #[test]
@@ -617,5 +588,20 @@ mod tests {
     fn no_args_prints_usage() {
         assert!(run(&[]).unwrap().contains("USAGE"));
         assert!(run(&sv(&["bogus"])).is_err());
+    }
+
+    #[test]
+    fn help_lists_every_flag() {
+        for (name, cmd) in &COMMANDS {
+            let help = run(&sv(&[name, "--help"])).unwrap();
+            assert!(usage().contains(cmd.usage), "{name}");
+            for (flag, ..) in cmd.rows() {
+                assert!(
+                    help.lines()
+                        .any(|l| l.split_whitespace().next() == Some(flag)),
+                    "{flag} missing from `{name} --help`"
+                );
+            }
+        }
     }
 }
