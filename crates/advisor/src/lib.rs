@@ -498,6 +498,13 @@ mod tests {
     use super::*;
     use stencil_core::{ProblemSize, StencilKind};
 
+    /// Serializes the lib tests that install a telemetry recorder (the
+    /// recorder slot is process-wide).
+    pub(crate) fn lock_obs() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn heat_query(id: &str) -> Query {
         Query {
             id: Some(id.into()),

@@ -51,15 +51,16 @@ pub(crate) fn error_line(msg: &str) -> String {
     .expect("error line serializes")
 }
 
-/// The backpressure response for a shed query: explicit, parseable, and
-/// carrying the query's own `id` so a pipelining client can tell which
-/// request was refused.
-pub(crate) fn overloaded_line(id: Option<&str>) -> String {
-    let mut fields = vec![("error".to_string(), Value::Str("overloaded".to_string()))];
+/// The response for a parsed query the server did not answer
+/// (`"overloaded"` when shed, `"internal"` when its computation
+/// panicked): explicit, parseable, and carrying the query's own `id` so
+/// a pipelining client can tell which request failed.
+pub(crate) fn refusal_line(error: &str, id: Option<&str>) -> String {
+    let mut fields = vec![("error".to_string(), Value::Str(error.to_string()))];
     if let Some(id) = id {
         fields.push(("id".to_string(), Value::Str(id.to_string())));
     }
-    serde_json::to_string(&Value::Map(fields)).expect("overloaded line serializes")
+    serde_json::to_string(&Value::Map(fields)).expect("refusal line serializes")
 }
 
 /// Run the service loop over `input`, writing answers to `out`.
@@ -127,5 +128,28 @@ mod tests {
         assert!(lines[0].starts_with("{\"error\":"));
         assert!(lines[1].contains("\"stencil\":\"Heat2D\""));
         assert!(lines[2].contains("unknown device preset"));
+    }
+
+    #[test]
+    fn oversized_problems_get_error_lines() {
+        // T = u64::MAX once wrapped the wavefront count to 0 and ranked
+        // the answer by `talg_s: 0.0`; 4e9 x 4e9 x 8 wrapped `iter_points`.
+        let advisor = Advisor::with_defaults();
+        let input = "{\"device\":\"GTX 980\",\"stencil\":\"Heat2D\",\"size\":[1024,1024],\
+            \"time\":18446744073709551615}\n\
+            {\"device\":\"GTX 980\",\"stencil\":\"Heat2D\",\"size\":[4000000000,4000000000],\"time\":8}\n";
+        let mut out = Vec::new();
+        let stats = serve_lines(&advisor, input.as_bytes(), &mut out).unwrap();
+        assert_eq!(
+            stats,
+            ServeStats {
+                answered: 0,
+                errors: 2
+            }
+        );
+        for line in std::str::from_utf8(&out).unwrap().lines() {
+            assert!(line.starts_with("{\"error\":"), "{line}");
+            assert!(line.contains("2^53"), "{line}");
+        }
     }
 }

@@ -31,9 +31,13 @@
 //!   response in its slot (the same shared per-line handling as the
 //!   stdin and `--queries` modes, counting `advisor.query_errors`);
 //!   the connection survives.
+//! * **A panicking computation** — every member of the group gets
+//!   `{"error":"internal"}` with its own `id` (counted on
+//!   `advisor.panics`) and the worker keeps serving. A panic in a rayon
+//!   helper's chunk of the sweep surfaces here too.
 
-use crate::serve::{error_line, overloaded_line, parse_slot};
-use crate::{Advisor, Query};
+use crate::serve::{error_line, parse_slot, refusal_line};
+use crate::{Advice, Advisor, Query};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -242,6 +246,17 @@ impl Server {
         listener: TcpListener,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
+        Server::start_with(advisor, listener, cfg, Advisor::advise_at)
+    }
+
+    /// [`start`](Server::start) with the workers' answer function
+    /// injected (tests swap in a panicking one).
+    fn start_with(
+        advisor: Arc<Advisor>,
+        listener: TcpListener,
+        cfg: ServerConfig,
+        answer: AnswerFn,
+    ) -> std::io::Result<Server> {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(Queue::new(cfg.queue_cap));
@@ -256,7 +271,7 @@ impl Server {
                 let advisor = Arc::clone(&advisor);
                 let queue = Arc::clone(&queue);
                 let cfg = cfg.clone();
-                std::thread::spawn(move || worker_loop(&advisor, &queue, &cfg))
+                std::thread::spawn(move || worker_loop(&advisor, &queue, &cfg, answer))
             })
             .collect();
 
@@ -361,7 +376,7 @@ fn serve_connection(stream: TcpStream, queue: &Arc<Queue>, cfg: &ServerConfig) {
                 if conn.outstanding.load(Ordering::SeqCst) >= cfg.conn_queue_cap {
                     obs::counter("advisor.shed", 1);
                     conn.outstanding.fetch_add(1, Ordering::SeqCst);
-                    conn.complete(seq, overloaded_line(query.id.as_deref()));
+                    conn.complete(seq, refusal_line("overloaded", query.id.as_deref()));
                 } else {
                     let deadline = query
                         .timeout_ms
@@ -375,7 +390,7 @@ fn serve_connection(stream: TcpStream, queue: &Arc<Queue>, cfg: &ServerConfig) {
                     };
                     if let Err(rejected) = queue.try_push(request) {
                         obs::counter("advisor.shed", 1);
-                        let line = overloaded_line(rejected.query.id.as_deref());
+                        let line = refusal_line("overloaded", rejected.query.id.as_deref());
                         rejected.conn.complete(rejected.seq, line);
                     }
                 }
@@ -431,9 +446,12 @@ fn write_loop(conn: &Conn, stream: TcpStream) {
     }
 }
 
+/// How a worker answers a group: [`Advisor::advise_at`] outside tests.
+type AnswerFn = fn(&Advisor, &Query, Option<Instant>) -> Advice;
+
 /// One worker: pop a batch, coalesce by canonical key, answer each
 /// distinct key once, fan the answer out to every member.
-fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
+fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig, answer: AnswerFn) {
     loop {
         let batch = queue.pop_batch(cfg.max_batch, cfg.batch_window);
         if batch.is_empty() {
@@ -461,7 +479,21 @@ fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
             } else {
                 members.iter().filter_map(|m| m.deadline).max()
             };
-            let answer = advisor.advise_at(&members[0].query, deadline);
+            // A panic must not take the worker down with it. The panic
+            // hook (`obs::flight::install_panic_hook`, which `experiments
+            // serve` installs) has dumped the flight recorder by the
+            // time the unwind is caught here.
+            let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                answer(advisor, &members[0].query, deadline)
+            }));
+            let Ok(answer) = computed else {
+                obs::counter("advisor.panics", 1);
+                for m in members {
+                    m.conn
+                        .complete(m.seq, refusal_line("internal", m.query.id.as_deref()));
+                }
+                continue;
+            };
             // Serialize once; a member only pays for its own
             // serialization when its echoed id differs (candidate
             // float formatting dominates the response cost).
@@ -477,5 +509,88 @@ fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
                 m.conn.complete(m.seq, line);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    fn line(id: &str, size: usize) -> String {
+        format!(
+            "{{\"id\":\"{id}\",\"device\":\"GTX 980\",\"stencil\":\"Heat2D\",\
+             \"size\":[{size},{size}],\"time\":8}}"
+        )
+    }
+
+    /// Panics on 77x77 problems, answers the rest.
+    fn panics_on_77(advisor: &Advisor, q: &Query, deadline: Option<Instant>) -> Advice {
+        assert_ne!(q.workload.size.space[0], 77, "injected failure");
+        advisor.advise_at(q, deadline)
+    }
+
+    /// Send `lines` on one connection and read every response line.
+    fn roundtrip(addr: SocketAddr, lines: &[String]) -> Vec<String> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        for l in lines {
+            writeln!(stream, "{l}").expect("send");
+        }
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("read answers");
+        text.lines().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn worker_survives_a_panicking_group() {
+        let _g = crate::tests::lock_obs();
+        let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+        obs::install(rec.clone());
+        // One worker, batches of exactly three lines (the long window
+        // only waits for the third): a connection's lines form one batch,
+        // so the two 77s coalesce into one panicking group.
+        let cfg = ServerConfig {
+            workers: 1,
+            batch_window: Duration::from_secs(5),
+            max_batch: 3,
+            ..ServerConfig::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let server = Server::start_with(
+            Arc::new(Advisor::with_defaults()),
+            listener,
+            cfg,
+            panics_on_77,
+        )
+        .expect("server starts");
+        let first = roundtrip(
+            server.addr(),
+            &[line("b1", 77), line("b2", 77), line("q1", 64)],
+        );
+        // The same worker answers the next batch.
+        let second = roundtrip(
+            server.addr(),
+            &[line("q2", 64), line("b3", 77), line("q3", 96)],
+        );
+        server.shutdown();
+        obs::uninstall();
+
+        assert_eq!(first[0], r#"{"error":"internal","id":"b1"}"#);
+        assert_eq!(first[1], r#"{"error":"internal","id":"b2"}"#);
+        assert_eq!(second[1], r#"{"error":"internal","id":"b3"}"#);
+        let oracle = Advisor::with_defaults();
+        for (got, (id, size)) in [
+            (&first[2], ("q1", 64)),
+            (&second[0], ("q2", 64)),
+            (&second[2], ("q3", 96)),
+        ] {
+            let want = oracle.advise(&Query::parse_line(&line(id, size)).unwrap());
+            assert_eq!(*got, want.to_json_line(), "{id}");
+        }
+        assert_eq!(first.len() + second.len(), 6);
+        assert_eq!(rec.snapshot().counter("advisor.panics"), 2);
     }
 }

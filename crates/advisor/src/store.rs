@@ -345,8 +345,7 @@ mod tests {
 
     #[test]
     fn stale_calibration_is_refused_and_counted() {
-        // Only lib test that installs a recorder — no cross-test lock
-        // needed (the integration test files each guard their own).
+        let _g = crate::tests::lock_obs();
         let rec = std::sync::Arc::new(obs::MemoryRecorder::new(obs::Level::Info));
         obs::install(rec.clone());
         let store = AnswerStore::empty(7, 4).with_calib_rev(Some("aaaa000011112222".into()));

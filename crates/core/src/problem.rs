@@ -10,6 +10,10 @@
 use crate::stencil::StencilDim;
 use serde::{Deserialize, Serialize};
 
+/// The largest space-time domain `T·∏S` a problem may have: `2^53`,
+/// the largest count an `f64` holds exactly.
+pub(crate) const MAX_ITER_POINTS: u64 = 1 << 53;
+
 /// The extents of a stencil problem: space sizes `S_i` plus time steps `T`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProblemSize {
@@ -51,12 +55,29 @@ impl ProblemSize {
 
     /// Build a problem from a flat list of 1–3 space extents plus the
     /// time-step count; the dimensionality is the number of extents.
+    ///
+    /// Rejects a zero extent or time step, and a space-time domain
+    /// `T·∏S` above 2^53: point counts then stay exact in the model's
+    /// `f64` arithmetic and the wavefront count `2⌈T/t_T⌉` cannot wrap.
     pub fn from_extents(extents: &[usize], time: usize) -> Result<Self, String> {
-        match extents {
-            [s1] => Ok(ProblemSize::new_1d(*s1, time)),
-            [s1, s2] => Ok(ProblemSize::new_2d(*s1, *s2, time)),
-            [s1, s2, s3] => Ok(ProblemSize::new_3d(*s1, *s2, *s3, time)),
-            _ => Err(format!("size must have 1-3 extents, got {}", extents.len())),
+        let size = match extents {
+            [s1] => ProblemSize::new_1d(*s1, time),
+            [s1, s2] => ProblemSize::new_2d(*s1, *s2, time),
+            [s1, s2, s3] => ProblemSize::new_3d(*s1, *s2, *s3, time),
+            _ => return Err(format!("size must have 1-3 extents, got {}", extents.len())),
+        };
+        if time == 0 || extents.contains(&0) {
+            return Err("size extents and time must be >= 1".into());
+        }
+        let points = extents
+            .iter()
+            .try_fold(time as u64, |acc, &s| acc.checked_mul(s as u64));
+        match points {
+            Some(p) if p <= MAX_ITER_POINTS => Ok(size),
+            _ => Err(format!(
+                "problem {} has more than 2^53 space-time points",
+                size.label()
+            )),
         }
     }
 
@@ -173,6 +194,23 @@ mod tests {
         assert_eq!(p.iter_points(), 96);
         let q = ProblemSize::new_1d(10, 2);
         assert_eq!(q.iter_points(), 20);
+    }
+
+    #[test]
+    fn from_extents_rejects_domains_past_2_pow_53() {
+        let p = ProblemSize::from_extents(&[1 << 20, 1 << 20], 1 << 13).unwrap();
+        assert_eq!(p.iter_points(), MAX_ITER_POINTS);
+        for (extents, time) in [
+            (&[1024usize, 1024][..], usize::MAX),
+            (&[4_000_000_000, 4_000_000_000][..], 1),
+            (&[1 << 20, 1 << 20][..], (1 << 13) + 1),
+            (&[1 << 21, 1 << 21, 1 << 21][..], 1),
+        ] {
+            let err = ProblemSize::from_extents(extents, time).unwrap_err();
+            assert!(err.contains("2^53"), "{err}");
+        }
+        assert!(ProblemSize::from_extents(&[0, 64], 8).is_err());
+        assert!(ProblemSize::from_extents(&[64, 64], 0).is_err());
     }
 
     #[test]
